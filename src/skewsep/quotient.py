@@ -5,11 +5,17 @@ generates a two-sided ideal and whose coefficients are fixed by the
 twist; build_quotient refuses anything else with a ScopeError carrying
 the failed-condition certificate.  Under those hypotheses A is a free
 right module over the coefficient ring B with basis 1, x, .., x^{m-1}
-(x the image of X), so every element is a coordinate vector of m ring
-elements and, flattened, an integer vector of length m * rank.  All the
-structural subgroups (twisted centralizers, the center, kernels and
-images of the trace map and the x-commutator) are computed exactly in
-that flat picture.
+(x the image of X).  Flattened, A is free of rank dim = m * rank over the
+coefficients, on the basis b_p = x^i e_s with p = i * rank + s, and an
+element is stored as its flat integer vector in that basis.
+
+A is held as a structure-constant ring of rank dim (QuotientRing.algebra):
+its dim x dim x dim table flat(b_p * b_q), built once, on the first
+product, without polynomial division.  Every product, multiplication
+matrix, centralizer and the center are then the generic structure-constant
+operations of the rings module.  All the structural subgroups (twisted
+centralizers, the center, kernels and images of the trace map and the
+x-commutator) are computed exactly in that flat picture.
 
 The trace map is tr(z) = sum_j t_j * z * x^j with t_j the Horner tails
 of f; weak separability downstream is a statement about its kernel.
@@ -17,8 +23,8 @@ of f; weak separability downstream is a statement about its kernel.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Submodule, hnf, kernel
-from .rings import RingElement
+from .linalg import Matrix, Submodule, hnf, kernel, sub_intersect
+from .rings import BaseRing, RingElement, centralizer, left_mul_matrix, right_mul_matrix
 from .skew import SkewPoly, SkewPolyRing, divmod_monic, horner_tails, is_invariant
 
 
@@ -31,9 +37,9 @@ class ScopeError(ValueError):
 
 
 class QuotientRing:
-    __slots__ = ("ring", "f", "m", "base", "coeff", "dim", "tails",
-                 "_x_powers", "_trace_matrix", "_x_comm_matrix",
-                 "_twisted", "_center", "_trace_kernel")
+    __slots__ = ("ring", "f", "m", "base", "coeff", "dim", "tails", "_x",
+                 "_algebra", "_x_powers", "_trace_matrix", "_x_comm_matrix",
+                 "_twisted", "_center", "_trace_kernel", "_split")
 
     def __init__(self, ring: SkewPolyRing, f: SkewPoly):
         # use build_quotient; this constructor trusts its caller
@@ -43,13 +49,71 @@ class QuotientRing:
         self.base = ring.base
         self.coeff = ring.base.coeff
         self.dim = self.m * self.base.rank
+        # the only polynomial reductions; a built quotient multiplies by its table
         self.tails = [self.reduce_poly(t) for t in horner_tails(f)]
+        self._x = self.reduce_poly(ring.x())
+        self._algebra: BaseRing | None = None
         self._x_powers: list | None = None
         self._trace_matrix: Matrix | None = None
         self._x_comm_matrix: Matrix | None = None
         self._twisted: dict[int, Submodule] = {}
         self._center: Submodule | None = None
         self._trace_kernel: Submodule | None = None
+        self._split: tuple[Submodule, Submodule] | None = None
+
+    # ------------------------------------------------------------ algebra
+
+    @property
+    def algebra(self) -> BaseRing:
+        """A as a structure-constant ring of rank dim, built on first use."""
+        if self._algebra is None:
+            self._algebra = BaseRing(self.coeff, self._structure_constants(),
+                                     self.one().flat())
+        return self._algebra
+
+    def _structure_constants(self) -> list:
+        """flat(b_p * b_q) for every pair of basis elements b_p = x^i e_s.
+
+        x^i b * x^j c = sum_k x^(i+k) (c_jk(b) c) by the commutation maps.
+        For m <= e <= 2m-2, x^e d = sum_l x^l (r_el d) with the residues
+        X^e = sum_l X^l r_el mod fR, which follow from X^m = -sum_l X^l a_l
+        one degree at a time, so no polynomial is divided.
+        """
+        m, r, dim = self.m, self.base.rank, self.dim
+        mul, red = self.base.mul_coords, self.coeff.reduce
+        a = [c.coords for c in self.f.coeffs]
+        residues = {}
+        prev = [self.base.zero().coords] * (m - 1) + [self.base.one().coords]
+        for e in range(m, 2 * m - 1):
+            top = prev[m - 1]
+            prev = [tuple(red((prev[l - 1][u] if l else 0) - v)
+                          for u, v in enumerate(mul(a[l], top)))
+                    for l in range(m)]
+            residues[e] = prev
+        units = [b.coords for b in self.base.basis()]
+        # moved[j][s][k] = c_jk(e_s): column s of the commutation map's matrix
+        moved = [[[self.ring.commutation_map(j, k).matrix.column(s) for k in range(j + 1)]
+                  for s in range(r)] for j in range(m)]
+        struct = []
+        for i in range(m):
+            for s in range(r):
+                plane = []
+                for j in range(m):
+                    for t in range(r):
+                        out = [0] * dim
+                        for k, cs in enumerate(moved[j][s]):
+                            d = mul(cs, units[t])
+                            e = i + k
+                            if e < m:
+                                for u, v in enumerate(d):
+                                    out[e * r + u] += v
+                            else:
+                                for l, res in enumerate(residues[e]):
+                                    for u, v in enumerate(mul(res, d)):
+                                        out[l * r + u] += v
+                        plane.append(out)
+                struct.append(plane)
+        return struct
 
     # ------------------------------------------------------------ elements
 
@@ -58,41 +122,34 @@ class QuotientRing:
                  for c in coords]
         if len(elems) != self.m:
             raise ValueError(f"need {self.m} coefficients")
-        return AElement(self, elems)
+        return AElement(self, [v for c in elems for v in c.coords])
 
     def from_flat(self, flat) -> "AElement":
-        r = self.base.rank
         if len(flat) != self.dim:
             raise ValueError("flat vector has wrong length")
-        return AElement(self, [self.base.element(flat[j * r:(j + 1) * r])
-                               for j in range(self.m)])
+        return AElement(self, flat)
 
     def zero(self) -> "AElement":
-        return AElement(self, [self.base.zero()] * self.m)
+        return AElement(self, (0,) * self.dim)
 
     def one(self) -> "AElement":
         return self.embed(self.base.one())
 
     def embed(self, elem: RingElement) -> "AElement":
-        return AElement(self, [elem] + [self.base.zero()] * (self.m - 1))
+        return AElement(self, elem.coords + (0,) * (self.dim - self.base.rank))
 
     def x_elem(self) -> "AElement":
-        return self.reduce_poly(self.ring.x())
+        return self._x
 
     def basis_elements(self) -> list["AElement"]:
-        out = []
-        for j in range(self.m):
-            for t in range(self.base.rank):
-                coords = [self.base.zero()] * self.m
-                coords[j] = self.base.basis_element(t)
-                out.append(AElement(self, coords))
-        return out
+        return [AElement(self, tuple(1 if q == p else 0 for q in range(self.dim)))
+                for p in range(self.dim)]
 
     def reduce_poly(self, g: SkewPoly) -> "AElement":
         if g.ring != self.ring:
             raise ValueError("polynomial from a different ring")
         _, rem = divmod_monic(g, self.f)
-        return AElement(self, [rem.coefficient(i) for i in range(self.m)])
+        return self.element([rem.coefficient(i) for i in range(self.m)])
 
     def lift(self, a: "AElement") -> SkewPoly:
         return SkewPoly(self.ring, list(a.coords))
@@ -100,21 +157,18 @@ class QuotientRing:
     def x_power(self, j: int) -> "AElement":
         if self._x_powers is None:
             pows = [self.one()]
-            x = self.x_elem()
             for _ in range(2 * self.m):
-                pows.append(pows[-1] * x)
+                pows.append(pows[-1] * self._x)
             self._x_powers = pows
         return self._x_powers[j]
 
     # ------------------------------------------------------------ operators
 
     def left_mul_matrix_of(self, a: "AElement") -> Matrix:
-        cols = [(a * z).flat() for z in self.basis_elements()]
-        return Matrix.from_columns(cols, self.coeff, rows=self.dim)
+        return left_mul_matrix(self.algebra, self.algebra.element(a.vec))
 
     def right_mul_matrix_of(self, a: "AElement") -> Matrix:
-        cols = [(z * a).flat() for z in self.basis_elements()]
-        return Matrix.from_columns(cols, self.coeff, rows=self.dim)
+        return right_mul_matrix(self.algebra, self.algebra.element(a.vec))
 
     def trace(self, z: "AElement") -> "AElement":
         """tr(z) = sum_j t_j * z * x^j over the Horner tails t_j."""
@@ -181,19 +235,28 @@ class QuotientRing:
     def center(self) -> Submodule:
         """Elements commuting with the whole quotient.
 
-        Computed from scratch against every basis element, not as
+        Computed from scratch as the centralizer of all of A, not as
         V intersect Ker(x-commutator); that identity is a theorem the
         tests check, not something to bake in.
         """
         if self._center is None:
-            rows = []
-            for z in self.basis_elements():
-                comm = self.left_mul_matrix_of(z).sub(self.right_mul_matrix_of(z))
-                rows.extend(comm.entries)
-            self._center = kernel(Matrix(rows, self.coeff, cols=self.dim))
+            everything = hnf([b.flat() for b in self.basis_elements()],
+                             self.coeff, dim=self.dim)
+            self._center = centralizer(self.algebra, everything)
         return self._center
 
+    def split_subgroups(self) -> tuple[Submodule, Submodule]:
+        """(twist-1 centralizer cut to Ker(trace), x-commutator image of the
+        base centralizer): the two subgroups weak separability compares."""
+        if self._split is None:
+            s1 = sub_intersect(self.twisted_centralizer(1), self.trace_kernel())
+            s2 = self.x_commutator_image(self.base_centralizer())
+            self._split = (s1, s2)
+        return self._split
+
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (isinstance(other, QuotientRing) and self.ring == other.ring
                 and self.f == other.f)
 
@@ -205,14 +268,23 @@ class QuotientRing:
 
 
 class AElement:
-    __slots__ = ("parent", "coords")
+    """An element of A, stored as its flat coordinate vector."""
 
-    def __init__(self, parent: QuotientRing, coords):
+    __slots__ = ("parent", "vec")
+
+    def __init__(self, parent: QuotientRing, vec):
         self.parent = parent
-        self.coords = tuple(coords)
+        self.vec = parent.coeff.reduce_vec(vec)
 
     def flat(self) -> tuple[int, ...]:
-        return tuple(c for elem in self.coords for c in elem.coords)
+        return self.vec
+
+    @property
+    def coords(self) -> tuple[RingElement, ...]:
+        """The coefficients of 1, x, .., x^{m-1} as elements of B."""
+        base, r = self.parent.base, self.parent.base.rank
+        return tuple(RingElement(base, self.vec[j * r:(j + 1) * r])
+                     for j in range(self.parent.m))
 
     def _check(self, other) -> None:
         if not isinstance(other, AElement) or other.parent != self.parent:
@@ -220,32 +292,31 @@ class AElement:
 
     def __add__(self, other):
         self._check(other)
-        return AElement(self.parent, [a + b for a, b in zip(self.coords, other.coords)])
+        return AElement(self.parent, [a + b for a, b in zip(self.vec, other.vec)])
 
     def __sub__(self, other):
         self._check(other)
-        return AElement(self.parent, [a - b for a, b in zip(self.coords, other.coords)])
+        return AElement(self.parent, [a - b for a, b in zip(self.vec, other.vec)])
 
     def __neg__(self):
-        return AElement(self.parent, [-a for a in self.coords])
+        return AElement(self.parent, [-a for a in self.vec])
 
     def __mul__(self, other):
         self._check(other)
-        q = self.parent
-        return q.reduce_poly(q.lift(self) * q.lift(other))
+        return AElement(self.parent, self.parent.algebra.mul_coords(self.vec, other.vec))
 
     def scale(self, c: int) -> "AElement":
-        return AElement(self.parent, [a.scale(c) for a in self.coords])
+        return AElement(self.parent, [c * a for a in self.vec])
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not any(self.vec)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AElement) and self.parent == other.parent
-                and self.coords == other.coords)
+                and self.vec == other.vec)
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash(self.vec)
 
     def __str__(self) -> str:
         if self.is_zero():

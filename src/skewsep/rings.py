@@ -81,6 +81,8 @@ class BaseRing:
         return self.names[i] if self.names else f"e{i}"
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (isinstance(other, BaseRing) and self.coeff == other.coeff
                 and self.structure == other.structure and self.unit == other.unit)
 

@@ -114,9 +114,7 @@ def is_separable(a: QuotientRing) -> tuple[bool, AElement | None]:
 
 
 def _split_subgroups(a: QuotientRing):
-    twist1 = a.twisted_centralizer(1)
-    s1 = sub_intersect(twist1, a.trace_kernel())
-    s2 = a.x_commutator_image(a.base_centralizer())
+    s1, s2 = a.split_subgroups()
     if not sub_contains(s1, s2):
         raise InternalInvariantError(
             "commutator image escaped the twist-1 trace kernel")
@@ -198,9 +196,7 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
     in the base centralizer (commutation with B forces v there).
     """
     dim = a.dim
-    basis = a.basis_elements()
-    left = [a.left_mul_matrix_of(z) for z in basis]
-    right = [a.right_mul_matrix_of(z) for z in basis]
+    struct = a.algebra.structure     # struct[i][j] = flat(z_i * z_j)
     rows = set()
     # delta kills the embedded coefficient ring: columns 0..rank-1 vanish
     for t in range(a.base.rank):
@@ -211,10 +207,8 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
     # Leibniz rule on basis pairs
     red = a.coeff.reduce
     for i in range(dim):
-        li = left[i].entries
         for j in range(dim):
-            rj = right[j].entries
-            u = [li[q][j] for q in range(dim)]   # flat(z_i * z_j) = column j of L_i
+            u = struct[i][j]
             for p in range(dim):
                 row = [0] * (dim * dim)
                 base_p = p * dim
@@ -222,10 +216,10 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
                     if u[q]:
                         row[base_p + q] += u[q]
                 for s in range(dim):
-                    c = rj[p][s]
+                    c = struct[s][j][p]     # entry (p, s) of right multiplication by z_j
                     if c:
                         row[s * dim + i] -= c
-                    c = li[p][s]
+                    c = struct[i][s][p]     # entry (p, s) of left multiplication by z_i
                     if c:
                         row[s * dim + j] -= c
                 row = tuple(red(e) for e in row)
@@ -234,8 +228,7 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
     module = kernel(Matrix(sorted(rows), a.coeff, cols=dim * dim))
     inner_gens = []
     for vrow in a.base_centralizer().basis:
-        v = a.from_flat(vrow)
-        ad = a.left_mul_matrix_of(v).sub(a.right_mul_matrix_of(v))
+        ad = inner_derivation_matrix(a, a.from_flat(vrow))
         inner_gens.append([e for r in ad.entries for e in r])
     inner = hnf(inner_gens, a.coeff, dim=dim * dim)
     if not sub_contains(module, inner):

@@ -105,6 +105,8 @@ class SkewPolyRing:
         return SkewPoly(self, [self.base.zero()] * i + [coeff])
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (isinstance(other, SkewPolyRing) and self.base == other.base
                 and self.rho == other.rho and self.deriv == other.deriv)
 

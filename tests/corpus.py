@@ -1,8 +1,10 @@
 """Shared fixtures: the small coefficient rings and maps the tests sweep over."""
 
-from itertools import product as _cartesian
+from functools import cache
+from itertools import islice, product as _cartesian
 
 from skewsep.linalg import CoeffRing, Matrix, ZZ
+from skewsep.quotient import build_quotient
 from skewsep.rings import BaseRing, RingMap
 from skewsep.skew import SkewPolyRing, is_invariant
 
@@ -119,6 +121,47 @@ def invariant_survivors(ring: SkewPolyRing, degree: int):
         ok, _ = is_invariant(f)
         if ok:
             yield f
+
+
+def golden_ring() -> SkewPolyRing:
+    """Integer upper triangular 2x2 matrices, identity twist, D = ad(e11)."""
+    base = upper_triangular2(0)
+    return SkewPolyRing(base, RingMap.identity(base), ut2_inner_derivation(base))
+
+
+@cache
+def lemma_corpus():
+    """The instances the lemma suite and round-trip criteria run over:
+    the golden example plus, per sweep ring, every invariant polynomial
+    of degree 1 and 2 and the first three of degree 3."""
+    ring = golden_ring()
+    a = ring.base.element((3, 0, 1))
+    out = [("golden", ring, ring.poly([a, a, ring.base.one()]))]
+    for label, sring in sweep_rings():
+        for f in invariant_survivors(sring, 1):
+            out.append((label, sring, f))
+        for f in invariant_survivors(sring, 2):
+            out.append((label, sring, f))
+        for f in islice(invariant_survivors(sring, 3), 3):
+            out.append((label, sring, f))
+    return out
+
+
+def wide_c2_quotient():
+    """A cubic quotient over the integer group algebra of C2 whose
+    coefficients lie near 2^100, so its products run to several words."""
+    base = group_algebra_c2(0)
+    ring = SkewPolyRing(base, RingMap.identity(base), RingMap.zero(base))
+    big = 2 ** 100
+    coeffs = [(big + 3, -big + 7), (-big - 1, big - 5), (big + 11, big - 2)]
+    return build_quotient(ring, ring.poly(coeffs + [(1, 0)]))
+
+
+def reference_product(q, a, b):
+    """a * b in the quotient q, computed independently of its
+    multiplication table: multiply the lifts as skew polynomials and
+    reduce modulo f."""
+    return q.reduce_poly(q.lift(a) * q.lift(b))
 
 
 def polygcd_is_one(f, p: int) -> bool:

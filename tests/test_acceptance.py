@@ -7,24 +7,22 @@ arithmetic; there are no numeric tolerances to tune.
 
 import random
 import time
-from functools import cache
-from itertools import islice, product
+from itertools import product
 
 from skewsep.linalg import ZZ, hnf, kernel, sub_contains, sub_equal, sub_intersect
 from skewsep.quotient import build_quotient
-from skewsep.rings import RingMap
 from skewsep.separability import (
     InternalInvariantError, derivation_from_value, derivation_module,
     inner_derivation_matrix, is_separable, is_weakly_separable,
     oracle_weakly_separable,
 )
 from skewsep.skew import (
-    SkewPolyRing, coeffs_central_in_fixed_subring, horner_tails,
+    coeffs_central_in_fixed_subring, horner_tails,
     is_invariant, is_invariant_direct,
 )
 from corpus import (
-    classical_skew_ring, invariant_survivors, polygcd_is_one, sweep_rings,
-    upper_triangular2, ut2_inner_derivation,
+    classical_skew_ring, golden_ring, invariant_survivors, lemma_corpus,
+    polygcd_is_one, reference_product, sweep_rings, wide_c2_quotient,
 )
 
 
@@ -36,29 +34,6 @@ def _finish(num: int, name: str, t0: float, budget: float, problems: list,
     print(f"criterion {num} [{name}]: {'PASS' if ok else 'FAIL'} ({detail})")
     assert not problems, f"criterion {num}: " + "; ".join(problems[:10])
     assert elapsed < budget, f"criterion {num} took {elapsed:.1f}s, budget {budget}s"
-
-
-def golden_ring() -> SkewPolyRing:
-    base = upper_triangular2(0)
-    return SkewPolyRing(base, RingMap.identity(base), ut2_inner_derivation(base))
-
-
-@cache
-def lemma_corpus():
-    """The instances the lemma suite and round-trip criteria run over:
-    the golden example plus, per sweep ring, every invariant polynomial
-    of degree 1 and 2 and the first three of degree 3."""
-    ring = golden_ring()
-    a = ring.base.element((3, 0, 1))
-    out = [("golden", ring, ring.poly([a, a, ring.base.one()]))]
-    for label, sring in sweep_rings():
-        for f in invariant_survivors(sring, 1):
-            out.append((label, sring, f))
-        for f in invariant_survivors(sring, 2):
-            out.append((label, sring, f))
-        for f in islice(invariant_survivors(sring, 3), 3):
-            out.append((label, sring, f))
-    return out
 
 
 def test_criterion_1_golden_example_reproduction():
@@ -192,6 +167,11 @@ def test_criterion_4_lemma_invariant_suite():
                   f"tail identity at j = {j}")
 
         q = build_quotient(ring, f)
+        # the multiplication table against reduced products of the lifts
+        basis = q.basis_elements()
+        check(all(zp * zq == reference_product(q, zp, zq)
+                  for zp in basis for zq in basis), tag,
+              "multiplication table disagrees with polynomial products")
         v_sub = q.base_centralizer()
         s1 = sub_intersect(q.twisted_centralizer(1), q.trace_kernel())
 
@@ -217,6 +197,14 @@ def test_criterion_4_lemma_invariant_suite():
                       for row in dm.module.basis], q.coeff, dim=q.dim)
         check(sub_equal(values, s1), tag,
               "derivation values at x do not match the twist-1 trace kernel")
+
+    # the table on an integer quotient with multi-word entries
+    q = wide_c2_quotient()
+    basis = q.basis_elements()
+    elems = basis + [q.from_flat([rng.randint(-2 ** 90, 2 ** 90) for _ in range(q.dim)])
+                     for _ in range(3)]
+    check(all(u * v == reference_product(q, u, v) for u in elems for v in elems),
+          "wide C2", "multiplication table disagrees with polynomial products")
     _finish(4, "lemma invariant suite", t0, 60.0, problems,
             f"{len(lemma_corpus())} instances")
 

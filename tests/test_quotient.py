@@ -5,13 +5,14 @@ from itertools import product
 
 import pytest
 
+import skewsep
 from skewsep.linalg import hnf, sub_contains, sub_equal, sub_member
 from skewsep.quotient import ScopeError, build_quotient
 from skewsep.rings import RingMap
 from skewsep.skew import SkewPolyRing
 from corpus import (
-    product_ring, swap_derivation, swap_map, upper_triangular2,
-    ut2_inner_derivation, zmod_ring,
+    lemma_corpus, product_ring, swap_derivation, swap_map, upper_triangular2,
+    ut2_inner_derivation, wide_c2_quotient, zmod_ring,
 )
 
 
@@ -114,11 +115,16 @@ def test_flat_round_trip_and_parent_checks():
         q.trace(other.zero())
 
 
+def corpus_quotients():
+    return [build_quotient(ring, f) for _, ring, f in lemma_corpus()] + [wide_c2_quotient()]
+
+
 def test_quotient_mul_associative():
     rng = random.Random(42)
     for q in [triangular_quotient(), classical_quotient(4, [2, 1]),
               build_quotient(swap_ring(), swap_ring().poly([(1, 1), (0, 0)])
-                             + swap_ring().monomial(swap_ring().base.one(), 2))]:
+                             + swap_ring().monomial(swap_ring().base.one(), 2)),
+              *corpus_quotients()]:
         for _ in range(12):
             u = q.from_flat([rng.randint(-3, 3) for _ in range(q.dim)])
             v = q.from_flat([rng.randint(-3, 3) for _ in range(q.dim)])
@@ -129,13 +135,36 @@ def test_quotient_mul_associative():
 
 
 def test_mul_matrices_match_products():
-    q = triangular_quotient()
     rng = random.Random(8)
-    for _ in range(10):
-        a = q.from_flat([rng.randint(-4, 4) for _ in range(q.dim)])
-        u = q.from_flat([rng.randint(-4, 4) for _ in range(q.dim)])
-        assert q.left_mul_matrix_of(a).apply(u.flat()) == (a * u).flat()
-        assert q.right_mul_matrix_of(a).apply(u.flat()) == (u * a).flat()
+    for q in [triangular_quotient(), *corpus_quotients()]:
+        for _ in range(10):
+            a = q.from_flat([rng.randint(-4, 4) for _ in range(q.dim)])
+            u = q.from_flat([rng.randint(-4, 4) for _ in range(q.dim)])
+            assert q.left_mul_matrix_of(a).apply(u.flat()) == (a * u).flat()
+            assert q.right_mul_matrix_of(a).apply(u.flat()) == (u * a).flat()
+
+
+def test_built_quotient_needs_no_polynomial_arithmetic(monkeypatch):
+    # once built, a quotient multiplies by its table: no skew polynomial
+    # product and no division, including the first product that builds it
+    quotients = [triangular_quotient(), classical_quotient(3, [1, 2, 0]),
+                 build_quotient(swap_ring(), swap_ring().poly([(1, 1), (0, 0)])
+                                + swap_ring().monomial(swap_ring().base.one(), 2))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("polynomial arithmetic on a built quotient")
+
+    monkeypatch.setattr(skewsep.skew.SkewPoly, "__mul__", forbidden)
+    for mod in (skewsep.skew, skewsep.quotient, skewsep.separability):
+        monkeypatch.setattr(mod, "divmod_monic", forbidden)
+    for q in quotients:
+        basis = q.basis_elements()
+        for u in basis:
+            for v in basis:
+                u * v
+        q.trace_matrix()
+        q.center()
+        q.twisted_centralizer(1)
 
 
 def test_coefficients_commute_with_x():
