@@ -24,7 +24,7 @@ from .problems import Problem, ProblemError, load_problem
 from .quotient import QuotientRing, ScopeError, build_quotient
 from .rings import validate_automorphism, validate_derivation, validate_ring
 from .separability import (
-    InternalInvariantError, derivation_module, is_weakly_separable,
+    InternalInvariantError, _oracle_verdict, derivation_module, is_weakly_separable,
     oracle_weakly_separable,
 )
 from .skew import SkewPolyRing, coeffs_central_in_fixed_subring, \
@@ -74,12 +74,6 @@ def _quotient_of(ring: SkewPolyRing, f) -> QuotientRing:
 
 def _rows(sub) -> list[list[int]]:
     return [list(row) for row in sub.basis]
-
-
-def _print_subgroup(name: str, sub) -> None:
-    print(f"{name}: rank {sub.rank}")
-    for row in sub.basis:
-        print(f"  {list(row)}")
 
 
 def _ring_line(prob: Problem) -> str:
@@ -180,7 +174,7 @@ def cmd_oracle(args) -> int:
     f = _poly_of(prob, ring)
     q = _quotient_of(ring, f)
     dm = derivation_module(q)
-    weakly = oracle_weakly_separable(q)
+    weakly = _oracle_verdict(q, dm)
     print(_ring_line(prob))
     print(f"f = {f}")
     print(f"derivation module: rank {dm.module.rank}")

@@ -15,6 +15,13 @@ are immutable tuples of row tuples.  Additive subgroups of ZZ^N (or of
 Two subgroups are equal iff their stored bases are equal, which makes
 sub_equal a plain comparison.  Pivot selection always prefers the
 candidate with the smallest absolute value.
+
+Hermite form is the only elimination the rest of the package uses.
+Kernels, solution sets (solve) and intersections (sub_intersect) are all
+read off a Hermite kernel computed in the system's own ring, so work over
+ZZ/n stays mod n; the particular solution solve returns is the
+Hermite-reduced representative of its coset.  The Smith form survives
+only as snf.
 """
 
 from __future__ import annotations
@@ -463,30 +470,15 @@ def snf(mat: Matrix):
     return diag, Matrix(U, coeff, cols=mat.rows), Matrix(V, coeff, cols=mat.cols)
 
 
-def _solve_int(mat_rows, q: int, p: int, b):
-    """One ZZ solution of M x = b plus the ZZ kernel generators, or None."""
-    diag, U, V = _snf_int([list(r) for r in mat_rows])
-    c = [sum(U[i][k] * b[k] for k in range(q)) for i in range(q)]
-    z = [0] * p
-    for i in range(q):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i]:
-                return None
-        elif i < p:
-            if c[i] % d:
-                return None
-            z[i] = c[i] // d
-    x = tuple(sum(V[i][k] * z[k] for k in range(p)) for i in range(p))
-    ker = []
-    for i in range(p):
-        if i >= len(diag) or diag[i] == 0:
-            ker.append(tuple(V[t][i] for t in range(p)))
-    return x, ker
-
-
 def solve(mat: Matrix, b):
-    """Solve mat * x = b exactly.
+    """Solve mat * x = b exactly, in the system's own coefficient ring.
+
+    The solutions are read off the Hermite kernel of [-b | mat]: its pairs
+    (t, x) with mat * x = t * b.  The system is solvable iff the first
+    kernel row is (1, x), and the tails of the remaining rows are then the
+    canonical basis of kernel(mat).  So x is the Hermite-reduced
+    representative of x + K: at each pivot column of K its entry lies in
+    [0, pivot).
 
     Returns None when no solution exists, otherwise (x, K) where x is one
     solution and K is the Submodule of homogeneous solutions, so the full
@@ -494,25 +486,12 @@ def solve(mat: Matrix, b):
     """
     if len(b) != mat.rows:
         raise ValueError("dimension mismatch")
-    coeff = mat.coeff
-    q, p = mat.rows, mat.cols
-    n = coeff.modulus
-    if not n:
-        res = _solve_int(mat.entries, q, p, list(b))
-        if res is None:
-            return None
-        x, ker = res
-        return x, hnf(ker, coeff, dim=p)
-    # lift to ZZ with explicit n*e_i columns so solvability mod n is exact
-    rows = [list(r) + [n if i == j else 0 for j in range(q)]
-            for i, r in enumerate(mat.entries)]
-    res = _solve_int(rows, q, p + q, [coeff.reduce(e) for e in b])
-    if res is None:
+    aug = Matrix([(-e,) + row for e, row in zip(b, mat.entries)], mat.coeff,
+                 cols=mat.cols + 1)
+    rows = _kernel_rows(aug)
+    if not rows or rows[0][0] != 1:
         return None
-    x, ker = res
-    part = coeff.reduce_vec(x[:p])
-    gens = [k[:p] for k in ker]
-    return part, hnf(gens, coeff, dim=p)
+    return rows[0][1:], Submodule(mat.cols, mat.coeff, tuple(r[1:] for r in rows[1:]))
 
 
 def det(mat: Matrix) -> int:
@@ -599,28 +578,17 @@ def sub_add(a: Submodule, b: Submodule) -> Submodule:
 
 
 def sub_intersect(a: Submodule, b: Submodule) -> Submodule:
-    """Intersection, computed from the ZZ kernel of the stacked generators."""
+    """Intersection, read off the kernel of [a | -b] in the subgroups' own ring.
+
+    Each kernel vector (lam, mu) gives lam * a = mu * b, an element of both
+    subgroups, and every common element arises this way.
+    """
     _check_compatible(a, b)
-    dim = a.ambient_dim
-    coeff = a.coeff
-    n = coeff.modulus
-    rows_a = [list(r) for r in a.basis]
-    rows_b = [list(r) for r in b.basis]
-    if n:
-        for i in range(dim):
-            unit = [n if j == i else 0 for j in range(dim)]
-            rows_a.append(list(unit))
-            rows_b.append(list(unit))
-    if not rows_a or not rows_b:
+    dim, coeff = a.ambient_dim, a.coeff
+    if a.is_zero() or b.is_zero():
         return Submodule.zero(dim, coeff)
-    s, t = len(rows_a), len(rows_b)
-    cols = [r for r in rows_a] + [[-e for e in r] for r in rows_b]
-    m = Matrix.from_columns(cols, ZZ, rows=dim)
-    gens = []
-    for lam in kernel(m).basis:
-        vec = [0] * dim
-        for i in range(s):
-            if lam[i]:
-                vec = [x + lam[i] * y for x, y in zip(vec, rows_a[i])]
-        gens.append(vec)
+    cols = list(a.basis) + [[-e for e in r] for r in b.basis]
+    stacked = Matrix.from_columns(cols, coeff, rows=dim)
+    span_a = Matrix.from_columns(a.basis, coeff, rows=dim)
+    gens = [span_a.apply(lam[:a.rank]) for lam in kernel(stacked).basis]
     return hnf(gens, coeff, dim=dim)

@@ -24,7 +24,7 @@ of f; weak separability downstream is a statement about its kernel.
 from __future__ import annotations
 
 from .linalg import Matrix, Submodule, hnf, kernel, sub_intersect
-from .rings import BaseRing, RingElement, centralizer, left_mul_matrix, right_mul_matrix
+from .rings import BaseRing, RingElement, RingMap, centralizer, left_mul_matrix, right_mul_matrix
 from .skew import SkewPoly, SkewPolyRing, divmod_monic, horner_tails, is_invariant
 
 
@@ -56,7 +56,7 @@ class QuotientRing:
         self._x_powers: list | None = None
         self._trace_matrix: Matrix | None = None
         self._x_comm_matrix: Matrix | None = None
-        self._twisted: dict[int, Submodule] = {}
+        self._twisted: dict[RingMap, Submodule] = {}
         self._center: Submodule | None = None
         self._trace_kernel: Submodule | None = None
         self._split: tuple[Submodule, Submodule] | None = None
@@ -215,17 +215,21 @@ class QuotientRing:
     # ----------------------------------------------------------- subgroups
 
     def twisted_centralizer(self, k: int) -> Submodule:
-        """Elements u with alpha u = u rho^k(alpha) for all scalars alpha."""
-        got = self._twisted.get(k)
+        """Elements u with alpha u = u rho^k(alpha) for all scalars alpha.
+
+        Cached by the map rho^k, not by k, so exponents with the same power
+        (every k under the identity twist) share one kernel.
+        """
+        rho_k = self.ring.rho_power(k)
+        got = self._twisted.get(rho_k)
         if got is None:
-            rho_k = self.ring.rho_power(k)
             rows = []
             for alpha in self.base.basis():
                 left = self.left_mul_matrix_of(self.embed(alpha))
                 right = self.right_mul_matrix_of(self.embed(rho_k.apply(alpha)))
                 rows.extend(left.sub(right).entries)
             got = kernel(Matrix(rows, self.coeff, cols=self.dim))
-            self._twisted[k] = got
+            self._twisted[rho_k] = got
         return got
 
     def base_centralizer(self) -> Submodule:

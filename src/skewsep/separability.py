@@ -81,12 +81,6 @@ def _unvectorize(row, dim: int, coeff) -> Matrix:
     return Matrix([row[p * dim:(p + 1) * dim] for p in range(dim)], coeff, cols=dim)
 
 
-def _matvec(row, vec, dim: int):
-    """Apply the row-major vectorized matrix stored in row to vec."""
-    return tuple(sum(row[p * dim + q] * vec[q] for q in range(dim))
-                 for p in range(dim))
-
-
 def is_separable(a: QuotientRing) -> tuple[bool, AElement | None]:
     """Search the twisted centralizer for a trace-1 element.
 
@@ -159,9 +153,10 @@ def derivation_type_report(a: QuotientRing) -> DerivationTypeReport:
     """Trivial-twist reformulation of both verdicts; asserts agreement.
 
     Requires the twist to be the identity.  In that case every twisted
-    centralizer collapses to the base centralizer V, the verdicts become
-    exactness statements about V -> V -> C(A), and separability adds
-    surjectivity of the trace onto the center.
+    centralizer collapses to the base centralizer V, so the split subgroups
+    are V intersect Ker(trace) and the x-commutator image of V, the
+    verdicts become exactness statements about V -> V -> C(A), and
+    separability adds surjectivity of the trace onto the center.
     """
     if not a.ring.rho.is_identity():
         raise ValueError("derivation-type report needs the identity twist")
@@ -172,11 +167,10 @@ def derivation_type_report(a: QuotientRing) -> DerivationTypeReport:
     if not sub_contains(c, trace_image):
         raise InternalInvariantError("trace image of the base centralizer "
                                      "left the center")
-    middle = sub_intersect(v, a.trace_kernel())
-    weakly = sub_equal(middle, a.x_commutator_image(v))
+    middle, commutators = _split_subgroups(a)
+    weakly = sub_equal(middle, commutators)
     separable = weakly and sub_equal(trace_image, c)
-    verdict = is_weakly_separable(a)
-    if weakly != verdict.weakly_separable or separable != verdict.separable:
+    if separable != is_separable(a)[0]:
         raise InternalInvariantError(
             "derivation-type sequences disagree with the criterion route")
     return DerivationTypeReport(weakly_separable=weakly, separable=separable,
@@ -243,10 +237,14 @@ def oracle_weakly_separable(a: QuotientRing) -> bool:
     exactly the twist-1 trace kernel, which ties the oracle to the
     criterion data without using the criterion.
     """
-    dm = derivation_module(a)
+    return _oracle_verdict(a, derivation_module(a))
+
+
+def _oracle_verdict(a: QuotientRing, dm: DerivationModule) -> bool:
+    """oracle_weakly_separable on an already computed derivation module."""
     xflat = a.x_elem().flat()
-    values_at_x = hnf([_matvec(row, xflat, a.dim) for row in dm.module.basis],
-                      a.coeff, dim=a.dim)
+    values_at_x = hnf([_unvectorize(row, a.dim, a.coeff).apply(xflat)
+                       for row in dm.module.basis], a.coeff, dim=a.dim)
     s1, _ = _split_subgroups(a)
     if not sub_equal(values_at_x, s1):
         raise InternalInvariantError(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from skewsep import cli, separability
 from skewsep.cli import main
 from skewsep.quotient import build_quotient
 from skewsep.rings import RingMap
@@ -109,6 +110,20 @@ def test_oracle_report(capsys):
     assert "derivation module: rank 0" in out
     assert "inner derivations: rank 0" in out
     assert "weakly separable (by derivation census): yes" in out
+
+
+def test_oracle_builds_the_derivation_module_once(monkeypatch, capsys):
+    real = separability.derivation_module
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(separability, "derivation_module", counted)
+    monkeypatch.setattr(cli, "derivation_module", counted)
+    assert main(["oracle", TRIANGULAR]) == 0
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------------- sweep

@@ -1,5 +1,6 @@
 """Exact linear algebra: frozen examples plus randomized structural checks."""
 
+import math
 import random
 from itertools import product
 
@@ -239,6 +240,49 @@ def test_solve_random_soundness_and_completeness():
             res2 = solve(m, b2)
             brute = any(m.apply(v) == b2 for v in product(range(modulus), repeat=p))
             assert (res2 is not None) == brute
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_against_snf(data):
+    """snf shares no code with solve, so it serves as the reference."""
+    modulus = data.draw(st.sampled_from([0, 0, 2, 3, 4, 6, 8, 9, 12]))
+    coeff = CoeffRing(modulus)
+    q = data.draw(st.integers(1, 4))
+    p = data.draw(st.integers(1, 4))
+    ents = data.draw(st.lists(
+        st.lists(st.integers(-9, 9), min_size=p, max_size=p),
+        min_size=q, max_size=q))
+    if data.draw(st.booleans()):
+        x0 = data.draw(st.lists(st.integers(-9, 9), min_size=p, max_size=p))
+        b = [sum(a * c for a, c in zip(row, x0)) for row in ents]
+    else:
+        b = data.draw(st.lists(st.integers(-9, 9), min_size=q, max_size=q))
+    m = Matrix(ents, coeff, cols=p)
+    res = solve(m, b)
+    diag, u, _ = snf(m)
+    if modulus:
+        # D y = U b with D the canonical divisors of n (0 meaning n)
+        c = u.apply(coeff.reduce_vec(b))
+        solvable = all(c[i] % (diag[i] if i < len(diag) and diag[i] else modulus) == 0
+                       for i in range(q))
+    else:
+        # Mx = b over ZZ iff M and [M | b] agree in rank and in the product
+        # of their nonzero invariant factors
+        aug, _, _ = snf(Matrix([row + [e] for row, e in zip(ents, b)], ZZ))
+        nonzero = [d for d in diag if d]
+        aug_nonzero = [d for d in aug if d]
+        solvable = (len(nonzero) == len(aug_nonzero)
+                    and math.prod(nonzero) == math.prod(aug_nonzero))
+    assert (res is not None) == solvable
+    if res is None:
+        return
+    x, k = res
+    assert m.apply(x) == coeff.reduce_vec(b)
+    assert k == kernel(m)
+    for row in k.basis:
+        col = next(i for i, e in enumerate(row) if e)
+        assert 0 <= x[col] < row[col]
 
 
 # ------------------------------------------------------------------- kernel

@@ -248,6 +248,19 @@ def test_twisted_centralizer_triangular():
         assert sub_equal(q.twisted_centralizer(k), v)
 
 
+def test_twisted_centralizers_share_one_kernel(monkeypatch):
+    q = triangular_quotient()
+    real = skewsep.quotient.kernel
+    calls = []
+    monkeypatch.setattr(skewsep.quotient, "kernel",
+                        lambda mat: calls.append(mat) or real(mat))
+    # identity twist: exponents 1, 0 and 1 - m name the same map
+    first = q.twisted_centralizer(1)
+    assert q.base_centralizer() is first
+    assert q.twisted_centralizer(1 - q.m) is first
+    assert len(calls) == 1
+
+
 def test_twisted_centralizer_swap_alternates():
     r = swap_ring()
     q = build_quotient(r, r.poly([(1, 1), (0, 0)]) + r.monomial(r.base.one(), 2))
