@@ -7,7 +7,8 @@ from .rings import BaseRing, RingElement, RingMap, centralizer, fixed_subring, \
     validate_ring
 from .skew import InvariantFailure, SkewPoly, SkewPolyRing, \
     coeffs_central_in_fixed_subring, derivation_on_powers, divmod_monic, \
-    horner_tails, is_invariant, is_invariant_direct, twist_commutes
+    horner_tails, invariant_count, invariant_polynomials, is_invariant, \
+    is_invariant_direct, iter_invariant_polynomials, twist_commutes
 from .quotient import AElement, QuotientRing, ScopeError, build_quotient
 from .separability import DerivationModule, DerivationTypeReport, ExactnessReport, \
     InternalInvariantError, Verdict, derivation_from_value, derivation_module, \
@@ -24,6 +25,7 @@ __all__ = [
     "validate_ring", "validate_automorphism", "validate_derivation",
     "SkewPolyRing", "SkewPoly", "InvariantFailure",
     "is_invariant", "is_invariant_direct", "divmod_monic", "twist_commutes",
+    "invariant_polynomials", "invariant_count", "iter_invariant_polynomials",
     "coeffs_central_in_fixed_subring", "horner_tails", "derivation_on_powers",
     "QuotientRing", "AElement", "ScopeError", "build_quotient",
     "Verdict", "ExactnessReport", "DerivationModule", "DerivationTypeReport",

@@ -6,7 +6,8 @@ Five subcommands over a single JSON problem-file format:
   check-r0   decide whether f generates a two-sided ideal
   decide     full separability / weak separability report
   oracle     brute-force derivation-module route, independent of decide
-  sweep      census of all invariant monic f up to a degree bound
+  sweep      census of all invariant monic f up to a degree bound, solved
+             degree by degree and capped at SWEEP_CENSUS_CAP
 
 Exit codes: 0 for a clean run (verdicts live in the report, not the
 code), 2 for unparseable or invalid input data, 3 for inputs outside the
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
 
 from .problems import Problem, ProblemError, load_problem
 from .quotient import QuotientRing, ScopeError, build_quotient
@@ -27,13 +27,17 @@ from .separability import (
     InternalInvariantError, _oracle_verdict, derivation_module, is_weakly_separable,
     oracle_weakly_separable,
 )
-from .skew import SkewPolyRing, coeffs_central_in_fixed_subring, \
-    is_invariant, is_invariant_direct
+from .skew import SkewPolyRing, coeffs_central_in_fixed_subring, invariant_count, \
+    invariant_polynomials, is_invariant, is_invariant_direct, iter_invariant_polynomials
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SCOPE = 3
 EXIT_INTERNAL = 4
+
+# sweep classifies at most this many polynomials; a larger census, counted
+# from the solved cosets before any quotient is built, exits 3
+SWEEP_CENSUS_CAP = 100_000
 
 
 def _coeff_desc(modulus: int) -> str:
@@ -183,15 +187,6 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _fixed_elements(prob: Problem):
-    """All coefficient-ring elements fixed by the twist, in lexicographic order."""
-    n = prob.base.coeff.modulus
-    for coords in product(range(n), repeat=prob.base.rank):
-        elem = prob.base.element(coords)
-        if prob.rho.apply(elem) == elem:
-            yield elem
-
-
 def cmd_sweep(args) -> int:
     prob = _validated_problem(args.path)
     if prob.base.coeff.modulus == 0:
@@ -202,20 +197,27 @@ def cmd_sweep(args) -> int:
         print("--max-degree must be at least 1", file=sys.stderr)
         return EXIT_INPUT
     ring = _skew_ring(prob)
-    fixed = list(_fixed_elements(prob))
-    one = prob.base.one()
+    solutions = {m: invariant_polynomials(ring, m) for m in range(1, args.max_degree + 1)}
+    census = sum(invariant_count(sol) for sol in solutions.values())
+    if census > SWEEP_CENSUS_CAP:
+        print(f"sweep would classify {census} polynomials, more than the cap of "
+              f"{SWEEP_CENSUS_CAP}", file=sys.stderr)
+        return EXIT_SCOPE
     instances = []
-    for m in range(1, args.max_degree + 1):
-        for tail in product(fixed, repeat=m):
-            f = ring.poly(list(tail) + [one])
-            ok, _ = is_invariant(f)
-            if not ok:
-                continue
-            q = build_quotient(ring, f)
+    for m, sol in solutions.items():
+        for f in iter_invariant_polynomials(ring, sol):
+            poly = [list(c.coords) for c in f.coeffs]
+            try:
+                q = build_quotient(ring, f)
+            except ScopeError as exc:
+                raise InternalInvariantError(
+                    f"sweep of {args.path} (rank {prob.base.rank}, "
+                    f"{_coeff_desc(prob.base.coeff.modulus)}): solved polynomial "
+                    f"{poly} is not invariant: {exc}") from exc
             v = is_weakly_separable(q)
             agree = oracle_weakly_separable(q) == v.weakly_separable
             instances.append({
-                "poly": [list(c.coords) for c in f.coeffs],
+                "poly": poly,
                 "degree": m,
                 "separable": v.separable,
                 "weakly_separable": v.weakly_separable,

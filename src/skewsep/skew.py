@@ -18,8 +18,12 @@ whole multiplication.
 
 A monic f generates a two-sided ideal fR = Rf exactly when a coefficient
 recurrence and a scalar commutation identity hold; is_invariant checks
-those, is_invariant_direct checks the defining products themselves, and
-the two must always agree.
+those for one polynomial, is_invariant_direct checks the defining products
+themselves, and the two must always agree.  When every coefficient is
+fixed by rho both conditions are linear in the coefficients, so the
+invariant f of one degree form an affine coset that invariant_polynomials
+finds with a single linear solve; iter_invariant_polynomials lists it
+over a finite coefficient ring.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 
 from .rings import BaseRing, RingElement, RingMap, validate_automorphism, \
     validate_derivation, validate_ring
-from .rings import centralizer, fixed_subring
-from .linalg import sub_member
+from .rings import centralizer, fixed_subring, left_mul_matrix, right_mul_matrix
+from .linalg import Matrix, solve, sub_member
 
 
 class SkewPolyRing:
@@ -265,9 +269,11 @@ class InvariantFailure:
 def is_invariant(f: SkewPoly) -> tuple[bool, InvariantFailure | None]:
     """Does monic f generate a two-sided ideal?  Criterion-based test.
 
-    Checks the coefficient recurrence through the derivation first (it is
-    cheap and prunes most candidates), then the scalar commutation
-    identity on every basis element.
+    Checks the coefficient recurrence through the derivation first, then
+    the scalar commutation identity on every basis element.  It decides
+    single polynomials (check-r0, build_quotient); the polynomials that
+    iter_invariant_polynomials lists pass it again in build_quotient as a
+    runtime assertion.
     """
     if not f.is_monic():
         raise ValueError("invariance test requires a monic polynomial")
@@ -294,6 +300,106 @@ def is_invariant(f: SkewPoly) -> tuple[bool, InvariantFailure | None]:
             if a[j] * target != acc:
                 return False, InvariantFailure("scalar-commutation", j, t)
     return True, None
+
+
+def invariant_polynomials(ring: SkewPolyRing, m: int):
+    """All monic invariant f of degree m with twist-fixed coefficients.
+
+    With every coefficient fixed by rho the shift rho(a_{m-1}) - a_{m-1}
+    vanishes, and is_invariant's conditions become linear in the m * rank
+    coordinates of (a_0, ..., a_{m-1}):
+
+        (rho - 1)(a_i) = 0,   D(a_i) = 0,
+        sum_{i=j}^{m-1} c_ij(alpha) * a_i - a_j * rho^m(alpha) = -c_mj(alpha)
+
+    for each i, each basis element alpha and each j < m.  One solve gives
+    the solution set.  Returns None when no such f exists, otherwise
+    (x0, K) with the concatenated coefficient vectors of the f exactly
+    the coset x0 + K.
+    """
+    if m < 1:
+        raise ValueError("degree must be at least 1")
+    base = ring.base
+    r = base.rank
+    width = m * r
+    rows, rhs = [], []
+
+    def equations(blocks: dict[int, Matrix], target) -> None:
+        """rank equations: sum over i of blocks[i] applied to a_i = target."""
+        for k in range(r):
+            row = [0] * width
+            for i, mat in blocks.items():
+                row[i * r:(i + 1) * r] = mat.entries[k]
+            rows.append(row)
+            rhs.append(target[k])
+
+    moved = ring.rho.matrix.sub(Matrix.identity(r, base.coeff))
+    for i in range(m):
+        equations({i: moved}, base.zero().coords)
+        equations({i: ring.deriv.matrix}, base.zero().coords)
+    rho_m = ring.rho_power(m)
+    for alpha in base.basis():
+        right = right_mul_matrix(base, rho_m.apply(alpha))
+        for j in range(m):
+            blocks = {i: left_mul_matrix(base, ring.commutation_map(i, j).apply(alpha))
+                      for i in range(j, m)}
+            blocks[j] = blocks[j].sub(right)
+            equations(blocks, (-ring.commutation_map(m, j).apply(alpha)).coords)
+    return solve(Matrix(rows, base.coeff, cols=width), rhs)
+
+
+def _pivot_column(row) -> int:
+    return next(c for c, e in enumerate(row) if e)
+
+
+def invariant_count(solution) -> int:
+    """Size of the coset x0 + K returned by invariant_polynomials over
+    Z/n: the product of n // pivot over the Hermite rows of K."""
+    if solution is None:
+        return 0
+    _, kern = solution
+    n = kern.coeff.modulus
+    if not n:
+        raise ValueError("counting needs a finite coefficient ring")
+    count = 1
+    for row in kern.basis:
+        count *= n // row[_pivot_column(row)]
+    return count
+
+
+def iter_invariant_polynomials(ring: SkewPolyRing, solution):
+    """The monic f of the coset x0 + K returned by invariant_polynomials,
+    over Z/n, in lexicographic order of (a_0, ..., a_{m-1}).
+
+    Each element is x0 + sum c_k * K_k with 0 <= c_k < n // pivot_k.  K is
+    zero left of each row's pivot column, so choosing c_k to put the entry
+    at that column on t * pivot + (entry mod pivot) for t = 0, 1, ... walks
+    the coset in sorted order.
+    """
+    if solution is None:
+        return
+    x0, kern = solution
+    n = ring.base.coeff.modulus
+    if not n:
+        raise ValueError("enumeration needs a finite coefficient ring")
+    r = ring.base.rank
+    one = ring.base.one()
+    basis = kern.basis
+    pivots = [_pivot_column(row) for row in basis]
+
+    def walk(k: int, vec):
+        if k == len(basis):
+            yield ring.poly([vec[i:i + r] for i in range(0, len(vec), r)] + [one])
+            return
+        row, col = basis[k], pivots[k]
+        step = row[col]
+        size = n // step
+        start = vec[col] // step
+        for t in range(size):
+            c = (t - start) % size
+            yield from walk(k + 1, tuple((v + c * e) % n for v, e in zip(vec, row)))
+
+    yield from walk(0, x0)
 
 
 def is_invariant_direct(f: SkewPoly) -> bool:

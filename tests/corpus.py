@@ -1,12 +1,12 @@
 """Shared fixtures: the small coefficient rings and maps the tests sweep over."""
 
 from functools import cache
-from itertools import islice, product as _cartesian
+from itertools import islice
 
 from skewsep.linalg import CoeffRing, Matrix, ZZ
 from skewsep.quotient import build_quotient
 from skewsep.rings import BaseRing, RingMap
-from skewsep.skew import SkewPolyRing, is_invariant
+from skewsep.skew import SkewPolyRing, invariant_polynomials, iter_invariant_polynomials
 
 
 def zmod_ring(n: int) -> BaseRing:
@@ -102,25 +102,10 @@ def sweep_rings() -> list[tuple[str, SkewPolyRing]]:
     ]
 
 
-def twist_fixed_elements(ring: SkewPolyRing):
-    """All coefficient-ring elements fixed by the twist, lexicographically."""
-    n = ring.base.coeff.modulus
-    for coords in _cartesian(range(n), repeat=ring.base.rank):
-        elem = ring.base.element(coords)
-        if ring.rho.apply(elem) == elem:
-            yield elem
-
-
 def invariant_survivors(ring: SkewPolyRing, degree: int):
     """Monic invariant polynomials of the given degree with twist-fixed
-    coefficients, in deterministic enumeration order."""
-    fixed = list(twist_fixed_elements(ring))
-    one = ring.base.one()
-    for tail in _cartesian(fixed, repeat=degree):
-        f = ring.poly(list(tail) + [one])
-        ok, _ = is_invariant(f)
-        if ok:
-            yield f
+    coefficients, in lexicographic order of their coefficients."""
+    return iter_invariant_polynomials(ring, invariant_polynomials(ring, degree))
 
 
 def golden_ring() -> SkewPolyRing:

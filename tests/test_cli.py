@@ -1,11 +1,16 @@
 """Command-line behavior: reports, golden files, exit codes."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skewsep import cli, separability
 from skewsep.cli import main
@@ -129,10 +134,19 @@ def test_oracle_builds_the_derivation_module_once(monkeypatch, capsys):
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_census_matches_library(capsys):
-    assert main(["sweep", SWAP, "--max-degree", "2", "--json"]) == 0
+    assert main(["sweep", SWAP, "--max-degree", "3", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["counts"]["disagreements"] == 0
-    assert doc["counts"]["instances"] == 3
+    assert doc["counts"]["instances"] == 5
+    # the brute-force order: degree by degree, each degree's survivors in
+    # lexicographic order of the twist-fixed coefficient tuples
+    assert [inst["poly"] for inst in doc["instances"]] == [
+        [[1, 1], [1, 1]],
+        [[0, 0], [0, 0], [1, 1]],
+        [[1, 1], [0, 0], [1, 1]],
+        [[0, 0], [0, 0], [1, 1], [1, 1]],
+        [[1, 1], [1, 1], [1, 1], [1, 1]],
+    ]
 
     base = product_ring(2)
     ring = SkewPolyRing(base, swap_map(base), swap_derivation(base))
@@ -144,7 +158,7 @@ def test_sweep_census_matches_library(capsys):
         assert inst["weakly_separable"] == v.weakly_separable
         assert inst["oracle_agrees"]
         seen.add(str(f))
-    assert len(seen) == 3
+    assert len(seen) == 5
 
 
 def test_sweep_does_not_need_a_poly(tmp_path, capsys):
@@ -154,6 +168,31 @@ def test_sweep_does_not_need_a_poly(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["sweep", str(path), "--max-degree", "1"]) == 0
     assert "total 1" in capsys.readouterr().out
+
+
+def test_sweep_caps_the_census_before_building_quotients(tmp_path, monkeypatch, capsys):
+    # mod 2^70 the degree-1 census is 2^70 polynomials: it is counted from
+    # the solved coset and refused without building any quotient
+    def no_quotient(ring, f):
+        raise AssertionError("sweep built a quotient past the census cap")
+
+    monkeypatch.setattr(cli, "build_quotient", no_quotient)
+    path = write_problem(tmp_path, poly=None, coeff_modulus=2 ** 70)
+    assert main(["sweep", path, "--max-degree", "1"]) == 3
+    err = capsys.readouterr().err
+    assert str(2 ** 70) in err and str(cli.SWEEP_CENSUS_CAP) in err
+
+
+def test_sweep_asserts_each_solved_polynomial(monkeypatch, capsys):
+    # a polynomial the solve should never produce is an internal breach
+    # naming the ring and the polynomial, not a scope error
+    def wrong(ring, solution):
+        yield ring.poly([(1, 0), (1, 1)])
+
+    monkeypatch.setattr(cli, "iter_invariant_polynomials", wrong)
+    assert main(["sweep", SWAP, "--max-degree", "1"]) == 4
+    err = capsys.readouterr().err
+    assert "rank 2, coefficients mod 2" in err and "[[1, 0], [1, 1]]" in err
 
 
 def test_sweep_requires_finite_coefficients(capsys):
@@ -254,3 +293,61 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "ring: ok" in proc.stdout
+
+
+# -------------------------------------------------------------------- fuzz
+
+SEED_DOCS = [json.loads(Path(path).read_text()) for path in (SWAP, TRIANGULAR)]
+FUZZ_COMMANDS = [["validate"], ["check-r0"], ["decide"], ["oracle"],
+                 ["sweep", "--max-degree", "1"]]
+
+# small integers, and integers far past any machine word
+fuzz_ints = st.one_of(st.integers(-3, 6), st.integers(2 ** 62, 2 ** 80),
+                      st.integers(-2 ** 80, -2 ** 62))
+fuzz_leaves = st.one_of(fuzz_ints, st.none(), st.booleans(), st.text(max_size=3),
+                        st.floats(allow_nan=False, allow_infinity=False))
+fuzz_values = st.recursive(fuzz_leaves, lambda inner: st.lists(inner, max_size=4),
+                           max_leaves=12)
+
+
+@st.composite
+def mutated_documents(draw):
+    """One of the bundled problem files with one or two fields dropped or
+    replaced by any JSON value, or with one integer in a field replaced by
+    another integer (often a huge one) or by a value of another type."""
+    doc = copy.deepcopy(draw(st.sampled_from(SEED_DOCS)))
+    for _ in range(draw(st.integers(1, 2))):
+        # the modulus and f vary among valid documents, so they are drawn
+        # more often than the ring data, where most changes are rejected
+        key = draw(st.sampled_from(sorted(doc) + ["coeff_modulus", "poly", "bogus"]))
+        action = draw(st.sampled_from(["drop", "replace", "integer", "integer", "retype"]))
+        new = draw(fuzz_ints if action == "integer" else fuzz_values)
+        if action == "drop":
+            doc.pop(key, None)
+        elif action == "replace" or not isinstance(doc.get(key), list) or not doc[key]:
+            doc[key] = new
+        else:
+            node = doc[key]
+            i = draw(st.integers(0, len(node) - 1))
+            while isinstance(node[i], list) and node[i]:
+                node = node[i]
+                i = draw(st.integers(0, len(node) - 1))
+            node[i] = new
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents())
+@example({**{k: v for k, v in SEED_DOCS[1].items() if k != "poly"},
+          "coeff_modulus": 2 ** 70})
+def test_mutated_problem_files_exit_cleanly(doc):
+    # any document, however broken, gets a report (0), an input error (2)
+    # or a scope error (3); never an internal breach (4) or a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps(doc))
+        for command in FUZZ_COMMANDS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                code = main([command[0], str(path)] + command[1:])
+            assert code in (0, 2, 3), (command, doc, out.getvalue())

@@ -1,19 +1,20 @@
 """Skew polynomial arithmetic and the two-sided-ideal membership tests."""
 
+import math
 import random
 from itertools import product
 
 import pytest
 
-from skewsep.linalg import Matrix
+from skewsep.linalg import Matrix, sub_member
 from skewsep.rings import RingMap
 from skewsep.skew import (
     SkewPolyRing, coeffs_central_in_fixed_subring, derivation_on_powers,
-    divmod_monic, horner_tails, is_invariant, is_invariant_direct,
-    twist_commutes,
+    divmod_monic, horner_tails, invariant_count, invariant_polynomials,
+    is_invariant, is_invariant_direct, iter_invariant_polynomials, twist_commutes,
 )
 from corpus import (
-    product_ring, swap_derivation, swap_map, upper_triangular2,
+    product_ring, sweep_rings, swap_derivation, swap_map, upper_triangular2,
     ut2_conjugation, ut2_inner_derivation, zmod_ring, zz_ring,
 )
 
@@ -244,6 +245,82 @@ def test_coeffs_central_holds_for_every_invariant_survivor():
                 hits += 1
                 assert coeffs_central_in_fixed_subring(f)
     assert hits > 0
+
+
+# ------------------------------------------- solved invariant polynomials
+
+def brute_force_survivors(ring, m):
+    """The oracle: every tuple of twist-fixed coefficients, in
+    lexicographic order, filtered by is_invariant."""
+    n = ring.base.coeff.modulus
+    fixed = [e for e in (ring.base.element(c)
+                         for c in product(range(n), repeat=ring.base.rank))
+             if ring.rho.apply(e) == e]
+    one = ring.base.one()
+    for tail in product(fixed, repeat=m):
+        f = ring.poly(list(tail) + [one])
+        if is_invariant(f)[0]:
+            yield f
+
+
+def _scaled_inner_ring(n, c):
+    base = upper_triangular2(n)
+    return SkewPolyRing(base, RingMap.identity(base),
+                        RingMap(base, ut2_inner_derivation(base).matrix.scale(c)))
+
+
+def _conj_inner_ring(n):
+    """Conjugation twist with the twisted inner derivation
+    D(x) = e22 * rho(x) - x * e22."""
+    base = upper_triangular2(n)
+    rho = ut2_conjugation(base)
+    t = base.basis_element(2)
+    return SkewPolyRing(base, rho, RingMap.from_images(
+        base, [t * rho.apply(e) - e * t for e in base.basis()]))
+
+
+# (label, ring, degrees): the census rings at degrees 1-3, and at 4 where
+# brute force stays small, plus a ring mod 4 whose cosets have Hermite
+# pivots 2 with entries above them, so the walk must rotate each row's
+# multiples to stay sorted, and a ring whose scalar commutation identity
+# alone admits coefficients the twist moves
+SOLVED_CASES = [(label, ring, [m for m in range(1, 5) if m <= 3 or
+                               ring.base.coeff.modulus ** (ring.base.rank * m) <= 70_000])
+                for label, ring in sweep_rings()]
+SOLVED_CASES += [("ut2-mod4-2ad", _scaled_inner_ring(4, 2), [1, 2]),
+                 ("ut2-mod2-conj", _conj_inner_ring(2), [1, 2, 3])]
+
+
+@pytest.mark.parametrize("label, ring, degrees", SOLVED_CASES,
+                         ids=[case[0] for case in SOLVED_CASES])
+def test_solved_invariant_polynomials_match_brute_force(label, ring, degrees):
+    n = ring.base.coeff.modulus
+    for m in degrees:
+        solution = invariant_polynomials(ring, m)
+        got = list(iter_invariant_polynomials(ring, solution))
+        want = list(brute_force_survivors(ring, m))
+        assert got == want, (label, m)
+        pivots = [next(e for e in row if e) for row in solution[1].basis] if solution else []
+        assert invariant_count(solution) == (math.prod(n // p for p in pivots)
+                                             if solution else 0) == len(want)
+        for f in got:
+            assert is_invariant(f)[0] and is_invariant_direct(f), (label, f)
+
+
+def test_invariant_polynomials_over_zz():
+    # the triangular example's f lies in the solved coset; ZZ cosets are
+    # infinite, so they are neither counted nor listed
+    r = triangular_ring()
+    x0, kern = invariant_polynomials(r, 2)
+    f = triangular_f(r)
+    flat = [e for c in f.coeffs[:-1] for e in c.coords]
+    assert sub_member(kern, [a - b for a, b in zip(flat, x0)])
+    with pytest.raises(ValueError):
+        invariant_count((x0, kern))
+    with pytest.raises(ValueError):
+        next(iter_invariant_polynomials(r, (x0, kern)))
+    with pytest.raises(ValueError):
+        invariant_polynomials(r, 0)
 
 
 # ------------------------------------------------------------ tails, seeds
