@@ -1,6 +1,6 @@
 """Exact separability tests for quotients of skew polynomial rings."""
 
-from .linalg import CoeffRing, Matrix, Submodule, ZZ, hnf, snf, solve, kernel, image, det, \
+from .linalg import CoeffRing, Matrix, Submodule, ZZ, hnf, solve, kernel, image, \
     sub_member, sub_contains, sub_equal, sub_add, sub_intersect
 from .rings import BaseRing, RingElement, RingMap, centralizer, fixed_subring, \
     left_mul_matrix, right_mul_matrix, validate_automorphism, validate_derivation, \
@@ -18,7 +18,7 @@ from .problems import Problem, ProblemError, load_problem, parse_problem
 
 __all__ = [
     "CoeffRing", "Matrix", "Submodule", "ZZ",
-    "hnf", "snf", "solve", "kernel", "image", "det",
+    "hnf", "solve", "kernel", "image",
     "sub_member", "sub_contains", "sub_equal", "sub_add", "sub_intersect",
     "BaseRing", "RingElement", "RingMap",
     "centralizer", "fixed_subring", "left_mul_matrix", "right_mul_matrix",

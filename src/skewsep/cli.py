@@ -7,7 +7,7 @@ Five subcommands over a single JSON problem-file format:
   decide     full separability / weak separability report
   oracle     brute-force derivation-module route, independent of decide
   sweep      census of all invariant monic f up to a degree bound, solved
-             degree by degree and capped at SWEEP_CENSUS_CAP
+             degree by degree, capped at SWEEP_MAX_DIM and SWEEP_CENSUS_CAP
 
 Exit codes: 0 for a clean run (verdicts live in the report, not the
 code), 2 for unparseable or invalid input data, 3 for inputs outside the
@@ -38,6 +38,10 @@ EXIT_INTERNAL = 4
 # sweep classifies at most this many polynomials; a larger census, counted
 # from the solved cosets before any quotient is built, exits 3
 SWEEP_CENSUS_CAP = 100_000
+# sweep refuses a quotient dimension max_degree * rank above this before it
+# solves anything: the derivation oracle's Leibniz system grows as dim^3
+# rows, and at dim 16 it takes about a second per instance
+SWEEP_MAX_DIM = 16
 
 
 def _coeff_desc(modulus: int) -> str:
@@ -196,6 +200,11 @@ def cmd_sweep(args) -> int:
     if args.max_degree < 1:
         print("--max-degree must be at least 1", file=sys.stderr)
         return EXIT_INPUT
+    dim = args.max_degree * prob.base.rank
+    if dim > SWEEP_MAX_DIM:
+        print(f"sweep would build quotients of dimension up to {dim}, more than the "
+              f"cap of {SWEEP_MAX_DIM}", file=sys.stderr)
+        return EXIT_SCOPE
     ring = _skew_ring(prob)
     solutions = {m: invariant_polynomials(ring, m) for m in range(1, args.max_degree + 1)}
     census = sum(invariant_count(sol) for sol in solutions.values())
@@ -207,15 +216,17 @@ def cmd_sweep(args) -> int:
     for m, sol in solutions.items():
         for f in iter_invariant_polynomials(ring, sol):
             poly = [list(c.coords) for c in f.coeffs]
+            # every solved f must be invariant and every verdict must hold its
+            # theorem checks; a breach names the instance
             try:
                 q = build_quotient(ring, f)
-            except ScopeError as exc:
+                v = is_weakly_separable(q)
+                agree = oracle_weakly_separable(q) == v.weakly_separable
+            except (ScopeError, InternalInvariantError) as exc:
                 raise InternalInvariantError(
                     f"sweep of {args.path} (rank {prob.base.rank}, "
-                    f"{_coeff_desc(prob.base.coeff.modulus)}): solved polynomial "
-                    f"{poly} is not invariant: {exc}") from exc
-            v = is_weakly_separable(q)
-            agree = oracle_weakly_separable(q) == v.weakly_separable
+                    f"{_coeff_desc(prob.base.coeff.modulus)}), solved polynomial "
+                    f"{poly}: {exc}") from exc
             instances.append({
                 "poly": poly,
                 "degree": m,

@@ -16,12 +16,11 @@ Two subgroups are equal iff their stored bases are equal, which makes
 sub_equal a plain comparison.  Pivot selection always prefers the
 candidate with the smallest absolute value.
 
-Hermite form is the only elimination the rest of the package uses.
-Kernels, solution sets (solve) and intersections (sub_intersect) are all
-read off a Hermite kernel computed in the system's own ring, so work over
-ZZ/n stays mod n; the particular solution solve returns is the
-Hermite-reduced representative of its coset.  The Smith form survives
-only as snf.
+Hermite form is the only elimination in the package.  Kernels, solution
+sets (solve), inverses (matrix_inverse) and intersections (sub_intersect)
+are all read off a Hermite kernel computed in the system's own ring, so
+work over ZZ/n stays mod n; the particular solution solve returns is the
+Hermite-reduced representative of its coset.
 """
 
 from __future__ import annotations
@@ -128,9 +127,6 @@ class Matrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def row_list(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
 
     def transpose(self) -> "Matrix":
         return Matrix.from_columns(self.entries, self.coeff, rows=self.cols)
@@ -350,126 +346,6 @@ def image(mat: Matrix) -> Submodule:
     return hnf([mat.column(j) for j in range(mat.cols)], mat.coeff, dim=mat.rows)
 
 
-def _snf_int(a: list[list[int]]):
-    """Smith form over ZZ. Returns (diag, U rows, V rows) with U*a*V diagonal.
-
-    U and V are unimodular; diag entries are nonnegative and each divides
-    the next.  a is destroyed.
-    """
-    q = len(a)
-    p = len(a[0]) if q else 0
-    U = [[1 if i == j else 0 for j in range(q)] for i in range(q)]
-    V = [[1 if i == j else 0 for j in range(p)] for i in range(p)]
-
-    def row_op(i, j, c):  # row_i -= c * row_j
-        a[i] = [x - c * y for x, y in zip(a[i], a[j])]
-        U[i] = [x - c * y for x, y in zip(U[i], U[j])]
-
-    def col_op(i, j, c):  # col_i -= c * col_j
-        for row in a:
-            row[i] -= c * row[j]
-        for row in V:
-            row[i] -= c * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def clear_at(t):
-        """Diagonalize position t against everything below and to the right."""
-        while True:
-            # move the smallest nonzero of the trailing block to (t, t)
-            best = None
-            for i in range(t, q):
-                for j in range(t, p):
-                    if a[i][j] and (best is None or abs(a[i][j]) < best[0]):
-                        best = (abs(a[i][j]), i, j)
-            if best is None:
-                return False
-            _, bi, bj = best
-            if bi != t:
-                swap_rows(t, bi)
-            if bj != t:
-                swap_cols(t, bj)
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-                U[t] = [-x for x in U[t]]
-            dirty = False
-            for i in range(t + 1, q):
-                if a[i][t]:
-                    row_op(i, t, a[i][t] // a[t][t])
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, p):
-                if a[t][j]:
-                    col_op(j, t, a[t][j] // a[t][t])
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            return True
-
-    r = 0
-    while r < min(q, p):
-        if not clear_at(r):
-            break
-        r += 1
-
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if dj % di:
-                # fold d_{i+1} into column i and rediagonalize the pair
-                col_op(i, i + 1, -1)
-                clear_at(i)
-                clear_at(i + 1)
-                changed = True
-    diag = [a[i][i] for i in range(min(q, p))]
-    return diag, U, V
-
-
-def snf(mat: Matrix):
-    """Smith normal form: (diag, U, V) with U * mat * V = diag(diag).
-
-    U and V are invertible over the coefficient ring.  Over ZZ the diag
-    entries are nonnegative with each dividing the next; over ZZ/n they
-    are the canonical divisors gcd(d, n) of n (0 meaning n), again with
-    each dividing the next.
-    """
-    coeff = mat.coeff
-    work = mat.row_list()
-    diag, U, V = _snf_int(work)
-    n = coeff.modulus
-    if n:
-        for i, d in enumerate(diag):
-            d %= n
-            g = gcd(d, n)
-            if g == n:
-                g = 0
-            if d and g != d:
-                # scale column i of V by a unit to land on the canonical divisor
-                e = d // g
-                m = n // g
-                _, u0, _ = _xgcd(e % m, m)
-                u = u0 % m
-                while gcd(u, n) != 1:
-                    u += m
-                for row in V:
-                    row[i] = (row[i] * u) % n
-            diag[i] = g
-        diag = [0 if d % n == 0 else d % n for d in diag]
-    return diag, Matrix(U, coeff, cols=mat.rows), Matrix(V, coeff, cols=mat.cols)
-
-
 def solve(mat: Matrix, b):
     """Solve mat * x = b exactly, in the system's own coefficient ring.
 
@@ -492,33 +368,6 @@ def solve(mat: Matrix, b):
     if not rows or rows[0][0] != 1:
         return None
     return rows[0][1:], Submodule(mat.cols, mat.coeff, tuple(r[1:] for r in rows[1:]))
-
-
-def det(mat: Matrix) -> int:
-    """Determinant, reduced into the coefficient ring (Bareiss, exact)."""
-    if mat.rows != mat.cols:
-        raise ValueError("determinant of a non-square matrix")
-    nn = mat.rows
-    if nn == 0:
-        return mat.coeff.reduce(1)
-    a = [list(r) for r in mat.entries]
-    sign = 1
-    prev = 1
-    for k in range(nn - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, nn):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return mat.coeff.reduce(0)
-        for i in range(k + 1, nn):
-            for j in range(k + 1, nn):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return mat.coeff.reduce(sign * a[nn - 1][nn - 1])
 
 
 def matrix_inverse(mat: Matrix):

@@ -7,10 +7,11 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from skewsep import cli, separability
 from skewsep.cli import main
@@ -195,6 +196,36 @@ def test_sweep_asserts_each_solved_polynomial(monkeypatch, capsys):
     assert "rank 2, coefficients mod 2" in err and "[[1, 0], [1, 1]]" in err
 
 
+@pytest.mark.parametrize("name", ["is_weakly_separable", "oracle_weakly_separable"])
+def test_sweep_names_the_instance_on_a_verdict_breach(name, monkeypatch, capsys):
+    def breach(q):
+        raise separability.InternalInvariantError("theorem check failed")
+
+    monkeypatch.setattr(cli, name, breach)
+    assert main(["sweep", SWAP, "--max-degree", "1"]) == 4
+    err = capsys.readouterr().err
+    assert SWAP in err and "rank 2, coefficients mod 2" in err
+    assert "[[1, 1], [1, 1]]" in err and "theorem check failed" in err
+
+
+def test_sweep_caps_the_quotient_dimension_before_solving(tmp_path, monkeypatch, capsys):
+    # the census of both is small or empty, but the derivation oracle at
+    # dimension 20 or 1000 would run for minutes
+    def no_solve(ring, m):
+        raise AssertionError("sweep solved past the dimension cap")
+
+    monkeypatch.setattr(cli, "invariant_polynomials", no_solve)
+    zmod2 = write_problem(tmp_path, coeff_modulus=2, rank=1, basis_names=None, unit=[1],
+                          structure_constants=[[[1]]], rho=[[1]], derivation=[[0]],
+                          poly=None)
+    for path, degree, dim in [(SWAP, 10, 20), (zmod2, 1000, 1000)]:
+        start = time.perf_counter()
+        assert main(["sweep", path, "--max-degree", str(degree)]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert str(dim) in err and str(cli.SWEEP_MAX_DIM) in err
+
+
 def test_sweep_requires_finite_coefficients(capsys):
     assert main(["sweep", TRIANGULAR, "--max-degree", "2"]) == 3
     assert "finite coefficient ring" in capsys.readouterr().err
@@ -336,13 +367,8 @@ def mutated_documents(draw):
     return doc
 
 
-@settings(max_examples=150, deadline=None)
-@given(mutated_documents())
-@example({**{k: v for k, v in SEED_DOCS[1].items() if k != "poly"},
-          "coeff_modulus": 2 ** 70})
-def test_mutated_problem_files_exit_cleanly(doc):
-    # any document, however broken, gets a report (0), an input error (2)
-    # or a scope error (3); never an internal breach (4) or a traceback
+def fuzz_runs(doc):
+    """Run each of FUZZ_COMMANDS on the document: (command, exit code, output)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "problem.json"
         path.write_text(json.dumps(doc))
@@ -350,4 +376,85 @@ def test_mutated_problem_files_exit_cleanly(doc):
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
                 code = main([command[0], str(path)] + command[1:])
-            assert code in (0, 2, 3), (command, doc, out.getvalue())
+            yield command, code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents())
+@example({**{k: v for k, v in SEED_DOCS[1].items() if k != "poly"},
+          "coeff_modulus": 2 ** 70})
+def test_mutated_problem_files_exit_cleanly(doc):
+    # any document, however broken, gets a report (0), an input error (2)
+    # or a scope error (3); never an internal breach (4) or a traceback
+    for command, code, out in fuzz_runs(doc):
+        assert code in (0, 2, 3), (command, doc, out)
+
+
+# (unit, structure constants, automorphisms besides the identity) of the
+# algebras that drawn documents are built on: Z/n, (Z/n)^2, ut2
+_Z3 = [0, 0, 0]
+DOC_ALGEBRAS = [
+    ([1], [[[1]]], []),
+    ([1, 1], [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [[[0, 1], [1, 0]]]),
+    ([1, 0, 1], [[[1, 0, 0], [0, 1, 0], _Z3], [_Z3, _Z3, [0, 1, 0]], [_Z3, _Z3, [0, 0, 1]]],
+     [[[1, -1, 0], [0, 1, 0], [0, 1, 1]]]),
+]
+doc_ints = st.integers(-2, 3)
+
+
+def _vectors(rank, count):
+    return st.lists(st.lists(doc_ints, min_size=rank, max_size=rank),
+                    min_size=count, max_size=count)
+
+
+def _product(table, u, v):
+    rank = len(u)
+    return [sum(u[i] * v[j] * table[i][j][t] for i in range(rank) for j in range(rank))
+            for t in range(rank)]
+
+
+@st.composite
+def whole_documents(draw):
+    """A whole problem document drawn from nothing: rank 1-3, any modulus,
+    and ring data that is either one of DOC_ALGEBRAS with a twist and a zero,
+    identity or twisted inner derivation x -> a rho(x) - x a (all but the
+    identity pass validation), or random small integers (which mostly do
+    not)."""
+    modulus = draw(st.sampled_from([0, 2, 3, 4, 6, 2 ** 70]))
+    if draw(st.booleans()):
+        unit, table, twists = draw(st.sampled_from(DOC_ALGEBRAS))
+        rank = len(unit)
+        identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        rho = draw(st.sampled_from([identity] + twists))
+        if draw(st.booleans()):
+            a = draw(_vectors(rank, 1))[0]
+            derivation = [[x - y for x, y in zip(_product(table, a, image),
+                                                 _product(table, basis, a))]
+                          for basis, image in zip(identity, rho)]
+        else:
+            derivation = draw(st.sampled_from([[[0] * rank] * rank, identity]))
+    else:
+        rank = draw(st.integers(1, 3))
+        unit = draw(_vectors(rank, 1))[0]
+        table = [draw(_vectors(rank, rank)) for _ in range(rank)]
+        rho, derivation = draw(_vectors(rank, rank)), draw(_vectors(rank, rank))
+    # f of degree 1-3 with quotient dimension at most 6; scalar multiples of
+    # the unit are fixed, killed and central, so such f are invariant
+    degree = draw(st.integers(1, min(3, 6 // rank)))
+    scalars = st.builds(lambda c: [c * e for e in unit], doc_ints)
+    poly = draw(st.lists(st.one_of(scalars, _vectors(rank, 1).map(lambda v: v[0])),
+                         min_size=degree, max_size=degree))
+    poly.append(unit if draw(st.integers(0, 3)) else draw(_vectors(rank, 1))[0])
+    return {"coeff_modulus": modulus, "rank": rank, "unit": unit,
+            "structure_constants": table, "rho": rho, "derivation": derivation,
+            "poly": poly}
+
+
+@settings(max_examples=100, deadline=None)
+@given(whole_documents())
+def test_whole_documents_exit_cleanly(doc):
+    # the share that passes validation shows in --hypothesis-show-statistics
+    for command, code, out in fuzz_runs(doc):
+        if command == ["validate"]:
+            event(f"validate exit {code}")
+        assert code in (0, 2, 3), (command, doc, out)
