@@ -10,9 +10,10 @@ linear-algebra problem in the flat coordinates of A.
 
 The oracle route: weak separability literally says every B-linear
 derivation of A is an inner one, so derivation_module computes the full
-module of B-derivations (as vectorized matrices constrained by the
-Leibniz rule) and the submodule of inner derivations, and
-oracle_weakly_separable compares them.  The two routes share no
+module of B-derivations (as vectorized matrices, imposing the Leibniz
+rule on generator pairs: a basis element times e_t or x) and the
+submodule of inner derivations, and oracle_weakly_separable compares
+them.  The two routes share no
 criterion-specific code, which is the point: they must agree.
 
 Inclusions that hold by theorem (commutator image inside the trace
@@ -182,44 +183,26 @@ def derivation_type_report(a: QuotientRing) -> DerivationTypeReport:
 def derivation_module(a: QuotientRing) -> DerivationModule:
     """Every B-linear derivation of A, computed from first principles.
 
-    A derivation is an additive self-map delta with delta(B) = 0 and
-    delta(zw) = delta(z) w + z delta(w).  Writing delta as an unknown
-    dim x dim matrix over the coefficients and imposing those equations
-    on all basis pairs gives a linear system; its kernel is the module
-    of derivations.  Inner derivations are the maps z -> vz - zv for v
-    in the base centralizer (commutation with B forces v there).
+    A derivation is an additive self-map delta with delta(B) = 0 (so
+    delta(1) = 0) and delta(zw) = delta(z) w + z delta(w).  The Leibniz
+    rule is imposed only on the pairs (z, s), z a basis element and s in
+    S = {e_0 .. e_{rank-1}, x}, which generates A as a ring.  That is
+    enough.  By additivity it then holds on (a, s) for every a in A, and
+    if it holds on (a, w) for all a, it holds on (a, w s):
+        delta(a w s) = delta(a w) s + a w delta(s)
+                     = delta(a) w s + a (delta(w) s + w delta(s))
+                     = delta(a) w s + a delta(w s).
+    By induction on word length, starting from delta(1) = 0, it holds on
+    every word in S, and the words span A additively.  As delta(e_t) = 0,
+    the e_t equations read delta(z e_t) = delta(z) e_t.  So the system
+    has dim^2 (rank + 1) equations instead of dim^3; see derivations.
+    Inner derivations are the maps z -> vz - zv for v in the base
+    centralizer (commutation with B forces v there).
     """
     dim = a.dim
-    struct = a.algebra.structure     # struct[i][j] = flat(z_i * z_j)
-    rows = set()
-    # delta kills the embedded coefficient ring: columns 0..rank-1 vanish
-    for t in range(a.base.rank):
-        for p in range(dim):
-            row = [0] * (dim * dim)
-            row[p * dim + t] = 1
-            rows.add(tuple(row))
-    # Leibniz rule on basis pairs
-    red = a.coeff.reduce
-    for i in range(dim):
-        for j in range(dim):
-            u = struct[i][j]
-            for p in range(dim):
-                row = [0] * (dim * dim)
-                base_p = p * dim
-                for q in range(dim):
-                    if u[q]:
-                        row[base_p + q] += u[q]
-                for s in range(dim):
-                    c = struct[s][j][p]     # entry (p, s) of right multiplication by z_j
-                    if c:
-                        row[s * dim + i] -= c
-                    c = struct[i][s][p]     # entry (p, s) of left multiplication by z_i
-                    if c:
-                        row[s * dim + j] -= c
-                row = tuple(red(e) for e in row)
-                if any(row):
-                    rows.add(row)
-    module = kernel(Matrix(sorted(rows), a.coeff, cols=dim * dim))
+    gens = [a.embed(b).flat() for b in a.base.basis()]
+    gens.append(a.x_elem().flat())
+    module = derivations(a.algebra.structure, gens, range(a.base.rank), a.coeff)
     inner_gens = []
     for vrow in a.base_centralizer().basis:
         ad = inner_derivation_matrix(a, a.from_flat(vrow))
@@ -228,6 +211,57 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
     if not sub_contains(module, inner):
         raise InternalInvariantError("an inner derivation failed the Leibniz system")
     return DerivationModule(dim=dim, module=module, inner=inner)
+
+
+def derivations(struct, gens, killed, coeff) -> Submodule:
+    """Additive maps delta of a structure-constant ring that vanish on the
+    basis elements numbered in killed and satisfy the Leibniz rule
+    delta(z g) = delta(z) g + z delta(g) for every basis element z and
+    every g in gens (flat vectors).
+
+    delta is a dim x dim matrix, column j holding delta(z_j), returned as
+    row-major vectors.  The killed columns are zero, so only the others
+    are unknowns of the linear system.  When gens generate the ring and
+    include the killed basis elements, the result is every derivation
+    that kills the subring those span.
+    """
+    dim = len(struct)
+    killed = set(killed)
+    free = {j: k for k, j in enumerate(j for j in range(dim) if j not in killed)}
+    width = len(free)   # unknown delta(z_j)[p] sits in column p * width + free[j]
+    red = coeff.reduce
+    rows = set()
+    for g in gens:
+        support = [(q, c) for q, c in enumerate(g) if c]
+        # right[s][p] = flat(z_s g)[p], entry (p, s) of right multiplication by g
+        right = [[sum(c * struct[s][q][p] for q, c in support) for p in range(dim)]
+                 for s in range(dim)]
+        live = [(free[q], c) for q, c in support if q in free]      # delta(g)
+        for i in range(dim):
+            zg = [(free[s], c) for s, c in enumerate(right[i]) if c and s in free]
+            col_i = free.get(i)
+            for p in range(dim):
+                row = [0] * (dim * width)
+                for k, c in zg:                  # delta(z_i g)
+                    row[p * width + k] += c
+                for s in range(dim):
+                    base = s * width
+                    c = right[s][p]
+                    if c and col_i is not None:  # delta(z_i) g
+                        row[base + col_i] -= c
+                    c = struct[i][s][p]          # z_i delta(g)
+                    if c:
+                        for k, gq in live:
+                            row[base + k] -= c * gq
+                row = tuple(red(e) for e in row)
+                if any(row):
+                    rows.add(row)
+    basis = []
+    for r in kernel(Matrix(sorted(rows), coeff, cols=dim * width)).basis:
+        cells = iter(r)
+        basis.append(tuple(0 if j in killed else next(cells)
+                           for _ in range(dim) for j in range(dim)))
+    return Submodule(dim * dim, coeff, tuple(basis))
 
 
 def oracle_weakly_separable(a: QuotientRing) -> bool:

@@ -3,7 +3,7 @@
 from functools import cache
 from itertools import islice
 
-from skewsep.linalg import CoeffRing, Matrix, ZZ
+from skewsep.linalg import CoeffRing, Matrix, ZZ, kernel
 from skewsep.quotient import build_quotient
 from skewsep.rings import BaseRing, RingMap
 from skewsep.skew import SkewPolyRing, invariant_polynomials, iter_invariant_polynomials
@@ -172,3 +172,25 @@ def polygcd_is_one(f, p: int) -> bool:
     while b:
         a, b = b, rem(a, b)
     return len(a) == 1
+
+
+def all_pairs_derivations(q):
+    """The module of B-derivations of the quotient q, from the Leibniz rule
+    imposed on every pair of basis elements (dim^3 equations) and on
+    nothing smaller: the reference for separability.derivation_module."""
+    dim, struct, red = q.dim, q.algebra.structure, q.coeff.reduce
+    rows = []
+    for t in range(q.base.rank):
+        for p in range(dim):
+            rows.append([1 if c == p * dim + t else 0 for c in range(dim * dim)])
+    for i in range(dim):
+        for j in range(dim):
+            u = struct[i][j]
+            for p in range(dim):
+                row = [0] * (dim * dim)
+                for s in range(dim):
+                    row[p * dim + s] += u[s]
+                    row[s * dim + i] -= struct[s][j][p]
+                    row[s * dim + j] -= struct[i][s][p]
+                rows.append([red(e) for e in row])
+    return kernel(Matrix(rows, q.coeff, cols=dim * dim))

@@ -15,8 +15,9 @@ from skewsep.separability import (
 )
 from skewsep.skew import SkewPolyRing
 from corpus import (
-    polygcd_is_one, product_ring, swap_derivation, swap_map,
-    upper_triangular2, ut2_inner_derivation, zmod_ring,
+    all_pairs_derivations, lemma_corpus, polygcd_is_one, product_ring,
+    swap_derivation, swap_map, upper_triangular2, ut2_inner_derivation,
+    wide_c2_quotient, zmod_ring,
 )
 
 
@@ -211,6 +212,15 @@ def test_derivation_matrices_satisfy_leibniz():
                 z = q.from_flat([rng.randint(0, 7) for _ in range(q.dim)])
                 w = q.from_flat([rng.randint(0, 7) for _ in range(q.dim)])
                 assert apply(z * w) == apply(z) * w + z * apply(w)
+
+
+def test_generator_system_equals_the_all_pairs_system():
+    # Leibniz on the pairs (z, s), s in {e_0 .. e_{rank-1}, x}, gives the
+    # module that Leibniz on every pair of basis elements gives
+    quotients = (sample_quotients() + [build_quotient(r, f) for _, r, f in lemma_corpus()]
+                 + [wide_c2_quotient()])
+    for q in quotients:
+        assert derivation_module(q).module == all_pairs_derivations(q), q
 
 
 def test_derivation_values_at_x_fill_the_trace_kernel():
