@@ -316,18 +316,29 @@ def hnf(gens, coeff: CoeffRing, dim: int | None = None) -> Submodule:
 
 
 def _kernel_rows(mat: Matrix) -> list[tuple[int, ...]]:
-    """Canonical basis rows of {x : mat * x = 0} via HNF of [mat^T | I]."""
-    q, p = mat.rows, mat.cols
+    """Canonical basis rows of {x : mat * x = 0} via HNF of [mat^T | I].
+
+    A tall mat (more rows than columns) is first replaced by the Hermite
+    basis of its rows, at most cols of them, so [mat^T | I] has at most
+    2 * cols columns.  The kernel is unchanged.  Over ZZ both span the
+    same row lattice.  Over ZZ/n the kept Hermite rows together with
+    n*ZZ^cols span the same lattice as the rows of mat together with
+    n*ZZ^cols, and x is a kernel vector mod n iff it is orthogonal mod n
+    to that lattice.
+    """
+    n, p = mat.coeff.modulus, mat.cols
+
+    def hnf_rows(rows, width):
+        return _hnf_rows_mod(rows, width, n) if n else _hnf_rows_int(rows, width)
+
+    rows = hnf_rows(mat.entries, p) if mat.rows > p else mat.entries
+    q = len(rows)
     aug = []
     for j in range(p):
-        row = [mat.entries[i][j] for i in range(q)]
+        row = [r[j] for r in rows]
         row.extend(1 if t == j else 0 for t in range(p))
         aug.append(row)
-    n = mat.coeff.modulus
-    if n:
-        reduced = _hnf_rows_mod(aug, q + p, n)
-    else:
-        reduced = _hnf_rows_int(aug, q + p)
+    reduced = hnf_rows(aug, q + p)
     out = []
     for row in reduced:
         if any(row[:q]):

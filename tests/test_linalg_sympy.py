@@ -8,7 +8,7 @@ x solves M x = b mod n iff b lies in the column lattice of [M | n*I].
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  # noqa: E402
@@ -30,8 +30,8 @@ def _rows(data, nrows, ncols, entries):
 
 
 def _matrix_rows(data, nrows, ncols):
-    """Up to 5x5; some are products through a thin middle dimension, so that
-    rank deficiency and nontrivial invariant factors are common."""
+    """Some are products through a thin middle dimension, so that rank
+    deficiency and nontrivial invariant factors are common."""
     entries = wide if data.draw(st.integers(0, 3)) == 0 else small
     if data.draw(st.booleans()):
         return _rows(data, nrows, ncols, entries)
@@ -40,6 +40,16 @@ def _matrix_rows(data, nrows, ncols):
     right = _rows(data, inner, ncols, entries)
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if inner
             else [0] * ncols for row in left]
+
+
+def _shape(data):
+    """(rows, cols) with cols up to 5: half the time at most 5 rows, half the
+    time tall, with up to three times as many rows as columns, so that
+    kernel compresses the rows to their Hermite basis first."""
+    p = data.draw(st.integers(1, 5))
+    if data.draw(st.booleans()):
+        return data.draw(st.integers(p + 1, 3 * p)), p
+    return data.draw(st.integers(1, 5)), p
 
 
 def _sym(rows, ncols):
@@ -101,7 +111,8 @@ def test_hnf_spans_the_generated_lattice(data):
 @given(st.data())
 def test_kernel_is_the_whole_saturated_kernel(data):
     n = data.draw(st.sampled_from(MODULI))
-    q, p = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    q, p = _shape(data)
+    event(f"compressed: {q > p}")
     m = Matrix(_matrix_rows(data, q, p), CoeffRing(n), cols=p)
     k = kernel(m)
     _assert_canonical(k.basis, n)
@@ -123,7 +134,8 @@ def test_kernel_is_the_whole_saturated_kernel(data):
 def test_solve_decides_solvability_like_the_lifted_system(data):
     n = data.draw(st.sampled_from(MODULI))
     coeff = CoeffRing(n)
-    q, p = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    q, p = _shape(data)
+    event(f"compressed: {q > p + 1}")      # the system solved is [-b | M]
     ents = _matrix_rows(data, q, p)
     if data.draw(st.booleans()):
         x0 = data.draw(st.lists(small, min_size=p, max_size=p))
