@@ -5,7 +5,8 @@ Five subcommands over a single JSON problem-file format:
   validate   parse the file and check the ring, twist, and derivation
   check-r0   decide whether f generates a two-sided ideal
   decide     full separability / weak separability report
-  oracle     brute-force derivation-module route, independent of decide
+  oracle     derivation-module route, independent of decide, capped at
+             SWEEP_MAX_DIM
   sweep      census of all invariant monic f up to a degree bound, solved
              degree by degree, capped at SWEEP_MAX_DIM and SWEEP_CENSUS_CAP
 
@@ -39,9 +40,10 @@ EXIT_INTERNAL = 4
 # from the solved cosets before any quotient is built, exits 3
 SWEEP_CENSUS_CAP = 100_000
 # sweep refuses a quotient dimension max_degree * rank above this before it
-# solves anything: the derivation oracle's Leibniz system grows as dim^3
-# rows, and at dim 16 it takes about a second per instance
-SWEEP_MAX_DIM = 16
+# solves anything, and oracle refuses one before it builds the derivation
+# system: that system has dim^2 * (rank + 1) rows, and at dim 20 the
+# oracle takes about a second per instance
+SWEEP_MAX_DIM = 20
 
 
 def _coeff_desc(modulus: int) -> str:
@@ -181,6 +183,10 @@ def cmd_oracle(args) -> int:
     ring = _skew_ring(prob)
     f = _poly_of(prob, ring)
     q = _quotient_of(ring, f)
+    if q.dim > SWEEP_MAX_DIM:
+        print(f"oracle would build a quotient of dimension {q.dim}, more than the "
+              f"cap of {SWEEP_MAX_DIM}", file=sys.stderr)
+        return EXIT_SCOPE
     dm = derivation_module(q)
     weakly = _oracle_verdict(q, dm)
     print(_ring_line(prob))

@@ -13,8 +13,8 @@ derivation of A is an inner one, so derivation_module computes the full
 module of B-derivations (as vectorized matrices, imposing the Leibniz
 rule on generator pairs: a basis element times e_t or x) and the
 submodule of inner derivations, and oracle_weakly_separable compares
-them.  The two routes share no
-criterion-specific code, which is the point: they must agree.
+them.  The two routes share no criterion-specific code, which is the
+point: they must agree.
 
 Inclusions that hold by theorem (commutator image inside the trace
 kernel, separable implying weakly separable, derivation values at x
@@ -183,25 +183,20 @@ def derivation_type_report(a: QuotientRing) -> DerivationTypeReport:
 def derivation_module(a: QuotientRing) -> DerivationModule:
     """Every B-linear derivation of A, computed from first principles.
 
-    A derivation is an additive self-map delta with delta(B) = 0 (so
-    delta(1) = 0) and delta(zw) = delta(z) w + z delta(w).  The Leibniz
-    rule is imposed only on the pairs (z, s), z a basis element and s in
-    S = {e_0 .. e_{rank-1}, x}, which generates A as a ring.  That is
-    enough.  By additivity it then holds on (a, s) for every a in A, and
-    if it holds on (a, w) for all a, it holds on (a, w s):
-        delta(a w s) = delta(a w) s + a w delta(s)
-                     = delta(a) w s + a (delta(w) s + w delta(s))
-                     = delta(a) w s + a delta(w s).
-    By induction on word length, starting from delta(1) = 0, it holds on
-    every word in S, and the words span A additively.  As delta(e_t) = 0,
-    the e_t equations read delta(z e_t) = delta(z) e_t.  So the system
-    has dim^2 (rank + 1) equations instead of dim^3; see derivations.
-    Inner derivations are the maps z -> vz - zv for v in the base
-    centralizer (commutation with B forces v there).
+    A derivation is an additive map delta with delta(B) = 0, so delta(1) = 0,
+    and delta(zw) = delta(z) w + z delta(w).  The rule is imposed only on
+    the pairs (z, s), z a basis element and s in S = {e_0 .. e_{rank-1}, x},
+    which generates A as a ring.  That is enough: by additivity it holds on
+    (a, s) for all a in A, and if it holds on (a, w) for all a, then
+    delta(a w s) = delta(a w) s + a w delta(s) = delta(a) w s + a delta(w s),
+    so by induction on word length it holds on every word in S, and those
+    span A.  The e_t equations read delta(z e_t) = delta(z) e_t.  That is
+    dim^2 (rank + 1) equations instead of dim^3.  Inner derivations are the
+    maps z -> vz - zv for v in the base centralizer (commutation with B
+    forces v there).
     """
     dim = a.dim
-    gens = [a.embed(b).flat() for b in a.base.basis()]
-    gens.append(a.x_elem().flat())
+    gens = [a.embed(b).flat() for b in a.base.basis()] + [a.x_elem().flat()]
     module = derivations(a.algebra.structure, gens, range(a.base.rank), a.coeff)
     inner_gens = []
     for vrow in a.base_centralizer().basis:
@@ -214,16 +209,11 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
 
 
 def derivations(struct, gens, killed, coeff) -> Submodule:
-    """Additive maps delta of a structure-constant ring that vanish on the
-    basis elements numbered in killed and satisfy the Leibniz rule
-    delta(z g) = delta(z) g + z delta(g) for every basis element z and
-    every g in gens (flat vectors).
-
-    delta is a dim x dim matrix, column j holding delta(z_j), returned as
-    row-major vectors.  The killed columns are zero, so only the others
-    are unknowns of the linear system.  When gens generate the ring and
-    include the killed basis elements, the result is every derivation
-    that kills the subring those span.
+    """Additive maps delta of a structure-constant ring, as row-major
+    dim x dim matrices (column j is delta(z_j)), with delta(z_t) = 0 for t
+    in killed and delta(z g) = delta(z) g + z delta(g) for every basis
+    element z and every g in gens (flat vectors).  The killed columns are
+    not unknowns of the linear system.
     """
     dim = len(struct)
     killed = set(killed)

@@ -132,6 +132,24 @@ def test_oracle_builds_the_derivation_module_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_oracle_caps_the_quotient_dimension(tmp_path, monkeypatch, capsys):
+    # X^24 + 1 over Z/2: a one-line problem whose derivation system at
+    # dimension 24 is past the cap that sweep uses
+    def no_module(q):
+        raise AssertionError("oracle built the derivation system past the cap")
+
+    monkeypatch.setattr(separability, "derivation_module", no_module)
+    monkeypatch.setattr(cli, "derivation_module", no_module)
+    path = write_problem(tmp_path, coeff_modulus=2, rank=1, basis_names=None, unit=[1],
+                         structure_constants=[[[1]]], rho=[[1]], derivation=[[0]],
+                         poly=[[1]] + [[0]] * 23 + [[1]])
+    start = time.perf_counter()
+    assert main(["oracle", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "24" in err and str(cli.SWEEP_MAX_DIM) in err
+
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_census_matches_library(capsys):
@@ -210,7 +228,7 @@ def test_sweep_names_the_instance_on_a_verdict_breach(name, monkeypatch, capsys)
 
 def test_sweep_caps_the_quotient_dimension_before_solving(tmp_path, monkeypatch, capsys):
     # the census of both is small or empty, but the derivation oracle at
-    # dimension 20 or 1000 would run for minutes
+    # dimension 22 or 1000 would run for seconds or hours per instance
     def no_solve(ring, m):
         raise AssertionError("sweep solved past the dimension cap")
 
@@ -218,7 +236,7 @@ def test_sweep_caps_the_quotient_dimension_before_solving(tmp_path, monkeypatch,
     zmod2 = write_problem(tmp_path, coeff_modulus=2, rank=1, basis_names=None, unit=[1],
                           structure_constants=[[[1]]], rho=[[1]], derivation=[[0]],
                           poly=None)
-    for path, degree, dim in [(SWAP, 10, 20), (zmod2, 1000, 1000)]:
+    for path, degree, dim in [(SWAP, 11, 22), (zmod2, 1000, 1000)]:
         start = time.perf_counter()
         assert main(["sweep", path, "--max-degree", str(degree)]) == 3
         assert time.perf_counter() - start < 1.0
