@@ -197,7 +197,7 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
     """
     dim = a.dim
     gens = [a.embed(b).flat() for b in a.base.basis()] + [a.x_elem().flat()]
-    module = derivations(a.algebra.structure, gens, range(a.base.rank), a.coeff)
+    module = _derivations(a.algebra.structure, gens, range(a.base.rank), a.coeff)
     inner_gens = []
     for vrow in a.base_centralizer().basis:
         ad = inner_derivation_matrix(a, a.from_flat(vrow))
@@ -208,7 +208,7 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
     return DerivationModule(dim=dim, module=module, inner=inner)
 
 
-def derivations(struct, gens, killed, coeff) -> Submodule:
+def _derivations(struct, gens, killed, coeff) -> Submodule:
     """Additive maps delta of a structure-constant ring, as row-major
     dim x dim matrices (column j is delta(z_j)), with delta(z_t) = 0 for t
     in killed and delta(z g) = delta(z) g + z delta(g) for every basis
@@ -219,7 +219,6 @@ def derivations(struct, gens, killed, coeff) -> Submodule:
     killed = set(killed)
     free = {j: k for k, j in enumerate(j for j in range(dim) if j not in killed)}
     width = len(free)   # unknown delta(z_j)[p] sits in column p * width + free[j]
-    red = coeff.reduce
     rows = set()
     for g in gens:
         support = [(q, c) for q, c in enumerate(g) if c]
@@ -243,7 +242,7 @@ def derivations(struct, gens, killed, coeff) -> Submodule:
                     if c:
                         for k, gq in live:
                             row[base + k] -= c * gq
-                row = tuple(red(e) for e in row)
+                row = coeff.reduce_vec(row)
                 if any(row):
                     rows.add(row)
     basis = []
