@@ -10,6 +10,9 @@ Five subcommands over a single JSON problem-file format:
   sweep      census of all invariant monic f up to a degree bound, solved
              degree by degree, capped at SWEEP_MAX_DIM and SWEEP_CENSUS_CAP
 
+Every subcommand refuses a ring of rank above SWEEP_MAX_DIM before it
+validates the ring.
+
 Exit codes: 0 for a clean run (verdicts live in the report, not the
 code), 2 for unparseable or invalid input data, 3 for inputs outside the
 engine's scope, 4 for an internal invariant breach.
@@ -42,7 +45,8 @@ SWEEP_CENSUS_CAP = 100_000
 # sweep refuses a quotient dimension max_degree * rank above this before it
 # solves anything, and oracle refuses one before it builds the derivation
 # system: that system has dim^2 * (rank + 1) rows, and at dim 20 the
-# oracle takes about a second per instance
+# oracle takes about a second per instance.  Every command refuses a rank
+# above it, since every quotient has dimension at least rank
 SWEEP_MAX_DIM = 20
 
 
@@ -51,8 +55,13 @@ def _coeff_desc(modulus: int) -> str:
 
 
 def _validated_problem(path: str) -> Problem:
-    """Load the file and run semantic validation, raising ProblemError."""
+    """Load the file and run semantic validation, raising ProblemError.
+
+    A rank above SWEEP_MAX_DIM raises ScopeError before validation.
+    """
     prob = load_problem(path)
+    if prob.base.rank > SWEEP_MAX_DIM:
+        raise ScopeError(f"rank {prob.base.rank} is more than the cap of {SWEEP_MAX_DIM}")
     for field, messages in [
             ("structure_constants", validate_ring(prob.base)),
             ("rho", validate_automorphism(prob.base, prob.rho)),

@@ -16,11 +16,14 @@ Two subgroups are equal iff their stored bases are equal, which makes
 sub_equal a plain comparison.  Pivot selection always prefers the
 candidate with the smallest absolute value.
 
-Hermite form is the only elimination in the package.  Kernels, solution
-sets (solve), inverses (matrix_inverse) and intersections (sub_intersect)
-are all read off a Hermite kernel computed in the system's own ring, so
-work over ZZ/n stays mod n; the particular solution solve returns is the
-Hermite-reduced representative of its coset.
+Hermite form is the only elimination in the package, and one routine
+(_hnf_rows) computes it for both rings, with n == 0 standing for ZZ.  At
+each column it runs Euclid on the rows with a nonzero entry there; rows
+that reach zero stay in the working set and are never candidates again.
+Kernels, solution sets (solve), inverses (matrix_inverse) and
+intersections (sub_intersect) are all read off a Hermite kernel computed
+in the system's own ring, so work over ZZ/n stays mod n; the particular
+solution solve returns is the Hermite-reduced representative of its coset.
 """
 
 from __future__ import annotations
@@ -206,96 +209,65 @@ class Submodule:
         return f"Submodule(dim={self.ambient_dim} over {self.coeff}: [{rows}])"
 
 
-def _hnf_rows_int(rows, ncols: int) -> list[list[int]]:
-    """Canonical row Hermite form over ZZ; returns the nonzero rows."""
-    work = [list(r) for r in rows if any(r)]
-    pivots: list[tuple[int, list[int]]] = []
-    for col in range(ncols):
-        while True:
-            cands = [r for r in work if r[col]]
-            if not cands:
-                break
-            if len(cands) == 1:
-                pr = cands[0]
-                if pr[col] < 0:
-                    pr[:] = [-e for e in pr]
-                work.remove(pr)
-                pivots.append((col, pr))
-                break
-            cands.sort(key=lambda r: abs(r[col]))
-            p = cands[0]
-            if p[col] < 0:
-                p[:] = [-e for e in p]
-            pc = p[col]
-            for r in cands[1:]:
-                q = r[col] // pc
-                if q:
-                    r[:] = [a - q * b for a, b in zip(r, p)]
-    for idx, (col, prow) in enumerate(pivots):
-        d = prow[col]
-        for _, earlier in pivots[:idx]:
-            q = earlier[col] // d
-            if q:
-                earlier[:] = [a - q * b for a, b in zip(earlier, prow)]
-    return [r for _, r in pivots]
+def _row_sub(a, q: int, b, n: int) -> list[int]:
+    """a - q*b, reduced mod n when n > 0."""
+    if n:
+        return [(x - q * y) % n for x, y in zip(a, b)]
+    return [x - q * y for x, y in zip(a, b)]
 
 
-def _hnf_rows_mod(rows, ncols: int, n: int) -> list[list[int]]:
-    """Canonical kept rows for the lattice spanned by rows together with n*ZZ^ncols.
+def _hnf_rows(rows, ncols: int, n: int) -> list[list[int]]:
+    """Canonical kept rows of the lattice spanned by rows (and n*ZZ^ncols if n).
 
-    Entries stay reduced mod n throughout, which keeps the arithmetic on
-    small ints.  Whenever a pivot d < n is created at some column, the
-    implicit generator n*e_col leaves the residue -(n//d)*pivot_row, which
-    is pushed back into the working set so no lattice content is lost.
+    n == 0 means ZZ.  Over ZZ/n entries stay reduced mod n throughout, which
+    keeps the arithmetic on small ints.  Whenever a pivot d < n is created
+    at some column, the implicit generator n*e_col leaves the residue
+    -(n//d)*pivot_row, which is pushed back into the working set so no
+    lattice content is lost.
     """
     work = []
     seen = set()
     for r in rows:
-        t = tuple(e % n for e in r)
+        t = tuple(e % n for e in r) if n else tuple(r)
         if any(t) and t not in seen:
             seen.add(t)
             work.append(list(t))
+    zero = [0] * ncols
     pivots: list[tuple[int, list[int]]] = []
     for col in range(ncols):
-        work = [r for r in work if any(r)]
-        while True:
-            cands = [r for r in work if r[col]]
-            if not cands:
-                pr = None
-                break
-            if len(cands) == 1:
-                pr = cands[0]
-                break
-            cands.sort(key=lambda r: r[col])
+        cands = [r for r in work if r[col]]
+        if not cands:
+            continue
+        while len(cands) > 1:
+            cands.sort(key=lambda r: abs(r[col]))
             p = cands[0]
             pc = p[col]
             for r in cands[1:]:
-                q = r[col] // pc
-                r[:] = [(a - q * b) % n for a, b in zip(r, p)]
-        if pr is None:
-            continue
+                r[:] = _row_sub(r, r[col] // pc, p, n)
+            cands = [p] + [r for r in cands[1:] if r[col]]
+        pr = cands[0]
         g = pr[col]
-        d = gcd(g, n)
+        d, s, _ = _xgcd(g, n)
         if d != g:
-            # realize gcd(g, n) at this column; keep the reduced original row,
-            # multiplying a row by a zero divisor may drop lattice content
-            _, s, _ = _xgcd(g, n)
-            newr = [(s * e) % n for e in pr]
-            q = g // d
-            pr[:] = [(a - q * b) % n for a, b in zip(pr, newr)]
+            # realize gcd(g, n) at this column (over ZZ: make the pivot
+            # positive); keep the reduced original row, multiplying a row by
+            # a zero divisor may drop lattice content
+            newr = _row_sub(zero, -s, pr, n)         # s * pr
+            pr[:] = _row_sub(pr, g // d, newr, n)
             pr = newr
         else:
             work.remove(pr)
-        residue = [(-(n // d) * e) % n for e in pr]
-        if any(residue):
-            work.append(residue)
+        if n:
+            residue = _row_sub(zero, n // d, pr, n)
+            if any(residue):
+                work.append(residue)
         pivots.append((col, pr))
     for idx, (col, prow) in enumerate(pivots):
         d = prow[col]
         for _, earlier in pivots[:idx]:
             q = earlier[col] // d
             if q:
-                earlier[:] = [(a - q * b) % n for a, b in zip(earlier, prow)]
+                earlier[:] = _row_sub(earlier, q, prow, n)
     return [r for _, r in pivots]
 
 
@@ -308,43 +280,20 @@ def hnf(gens, coeff: CoeffRing, dim: int | None = None) -> Submodule:
         dim = len(gens[0])
     if any(len(g) != dim for g in gens):
         raise ValueError("generators of mixed length")
-    if coeff.modulus:
-        rows = _hnf_rows_mod(gens, dim, coeff.modulus)
-    else:
-        rows = _hnf_rows_int(gens, dim)
+    rows = _hnf_rows(gens, dim, coeff.modulus)
     return Submodule(dim, coeff, tuple(tuple(r) for r in rows))
 
 
 def _kernel_rows(mat: Matrix) -> list[tuple[int, ...]]:
-    """Canonical basis rows of {x : mat * x = 0} via HNF of [mat^T | I].
-
-    A tall mat (more rows than columns) is first replaced by the Hermite
-    basis of its rows, at most cols of them, so [mat^T | I] has at most
-    2 * cols columns.  The kernel is unchanged.  Over ZZ both span the
-    same row lattice.  Over ZZ/n the kept Hermite rows together with
-    n*ZZ^cols span the same lattice as the rows of mat together with
-    n*ZZ^cols, and x is a kernel vector mod n iff it is orthogonal mod n
-    to that lattice.
-    """
-    n, p = mat.coeff.modulus, mat.cols
-
-    def hnf_rows(rows, width):
-        return _hnf_rows_mod(rows, width, n) if n else _hnf_rows_int(rows, width)
-
-    rows = hnf_rows(mat.entries, p) if mat.rows > p else mat.entries
-    q = len(rows)
+    """Canonical basis rows of {x : mat * x = 0} via HNF of [mat^T | I]."""
+    q, p = mat.rows, mat.cols
     aug = []
     for j in range(p):
-        row = [r[j] for r in rows]
+        row = [r[j] for r in mat.entries]
         row.extend(1 if t == j else 0 for t in range(p))
         aug.append(row)
-    reduced = hnf_rows(aug, q + p)
-    out = []
-    for row in reduced:
-        if any(row[:q]):
-            continue
-        out.append(tuple(row[q:]))
-    return out
+    return [tuple(row[q:]) for row in _hnf_rows(aug, q + p, mat.coeff.modulus)
+            if not any(row[:q])]
 
 
 def kernel(mat: Matrix) -> Submodule:
@@ -414,10 +363,7 @@ def sub_member(s: Submodule, v) -> bool:
             return False
         q = v[col] // d
         if q:
-            if n:
-                v = [(a - q * b) % n for a, b in zip(v, row)]
-            else:
-                v = [a - q * b for a, b in zip(v, row)]
+            v = _row_sub(v, q, row, n)
     return not any(v)
 
 

@@ -72,6 +72,8 @@ def parse_problem(text: str) -> Problem:
     except json.JSONDecodeError as exc:
         raise ProblemError(
             "document", f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:   # integer digit limit, deep nesting
+        raise ProblemError("document", str(exc)) from exc
     if not isinstance(doc, dict):
         raise ProblemError("document", "expected a JSON object")
     known = {"coeff_modulus", "rank", "basis_names", "unit",
@@ -133,6 +135,6 @@ def load_problem(path: str) -> Problem:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemError("file", str(exc)) from exc
     return parse_problem(text)

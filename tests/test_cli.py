@@ -273,6 +273,40 @@ def test_missing_file_exits_2(capsys):
     assert main(["validate", "/nonexistent/problem.json"]) == 2
 
 
+@pytest.mark.parametrize("raw", [
+    b"[" * 200_000 + b"]" * 200_000,                # nesting past the recursion limit
+    b'{"coeff_modulus": ' + b"9" * 5_000 + b"}",    # past the int digit limit
+    b"\xff\xfe",                                    # not UTF-8
+], ids=["deep", "digits", "not-utf8"])
+@pytest.mark.parametrize("command", ["validate", "decide"])
+def test_undecodable_files_exit_2(tmp_path, capsys, command, raw):
+    # raw bytes that json.dumps never writes, so the fuzz tests cannot draw them
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("invalid problem file: ")
+
+
+def test_rank_past_the_cap_exits_3_before_validation(tmp_path, monkeypatch, capsys):
+    def no_validation(base):
+        raise AssertionError("validated a ring past the rank cap")
+
+    monkeypatch.setattr(cli, "validate_ring", no_validation)
+    rank = cli.SWEEP_MAX_DIM + 1
+    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    # the diagonal algebra (Z/2)^rank
+    table = [[[int(i == j == t) for t in range(rank)] for j in range(rank)]
+             for i in range(rank)]
+    path = write_problem(tmp_path, coeff_modulus=2, rank=rank, basis_names=None,
+                         unit=[1] * rank, structure_constants=table, rho=identity,
+                         derivation=[[0] * rank] * rank, poly=[[0] * rank, [1] * rank])
+    start = time.perf_counter()
+    assert main(["validate", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert str(rank) in err and str(cli.SWEEP_MAX_DIM) in err
+
+
 def test_unknown_field_exits_2(tmp_path, capsys):
     path = write_problem(tmp_path, bogus=1)
     assert main(["validate", path]) == 2

@@ -44,8 +44,7 @@ def _matrix_rows(data, nrows, ncols):
 
 def _shape(data):
     """(rows, cols) with cols up to 5: half the time at most 5 rows, half the
-    time tall, with up to three times as many rows as columns, so that
-    kernel compresses the rows to their Hermite basis first."""
+    time tall, with up to three times as many rows as columns."""
     p = data.draw(st.integers(1, 5))
     if data.draw(st.booleans()):
         return data.draw(st.integers(p + 1, 3 * p)), p
@@ -112,7 +111,7 @@ def test_hnf_spans_the_generated_lattice(data):
 def test_kernel_is_the_whole_saturated_kernel(data):
     n = data.draw(st.sampled_from(MODULI))
     q, p = _shape(data)
-    event(f"compressed: {q > p}")
+    event(f"tall: {q > p}")
     m = Matrix(_matrix_rows(data, q, p), CoeffRing(n), cols=p)
     k = kernel(m)
     _assert_canonical(k.basis, n)
@@ -135,7 +134,7 @@ def test_solve_decides_solvability_like_the_lifted_system(data):
     n = data.draw(st.sampled_from(MODULI))
     coeff = CoeffRing(n)
     q, p = _shape(data)
-    event(f"compressed: {q > p + 1}")      # the system solved is [-b | M]
+    event(f"tall: {q > p + 1}")      # the system solved is [-b | M]
     ents = _matrix_rows(data, q, p)
     if data.draw(st.booleans()):
         x0 = data.draw(st.lists(small, min_size=p, max_size=p))
