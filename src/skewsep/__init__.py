@@ -2,13 +2,12 @@
 
 from .linalg import CoeffRing, Matrix, Submodule, ZZ, hnf, solve, kernel, image, \
     sub_member, sub_contains, sub_equal, sub_add, sub_intersect
-from .rings import BaseRing, RingElement, RingMap, centralizer, fixed_subring, \
+from .rings import BaseRing, RingElement, RingMap, centralizer, commutant, fixed_subring, \
     left_mul_matrix, right_mul_matrix, validate_automorphism, validate_derivation, \
     validate_ring
 from .skew import InvariantFailure, SkewPoly, SkewPolyRing, \
-    coeffs_central_in_fixed_subring, derivation_on_powers, divmod_monic, \
-    horner_tails, invariant_count, invariant_polynomials, is_invariant, \
-    is_invariant_direct, iter_invariant_polynomials, twist_commutes
+    coeffs_central_in_fixed_subring, divmod_monic, horner_tails, invariant_count, \
+    invariant_polynomials, is_invariant, is_invariant_direct, iter_invariant_polynomials
 from .quotient import AElement, QuotientRing, ScopeError, build_quotient
 from .separability import DerivationModule, DerivationTypeReport, ExactnessReport, \
     InternalInvariantError, Verdict, derivation_from_value, derivation_module, \
@@ -21,12 +20,12 @@ __all__ = [
     "hnf", "solve", "kernel", "image",
     "sub_member", "sub_contains", "sub_equal", "sub_add", "sub_intersect",
     "BaseRing", "RingElement", "RingMap",
-    "centralizer", "fixed_subring", "left_mul_matrix", "right_mul_matrix",
+    "centralizer", "commutant", "fixed_subring", "left_mul_matrix", "right_mul_matrix",
     "validate_ring", "validate_automorphism", "validate_derivation",
     "SkewPolyRing", "SkewPoly", "InvariantFailure",
-    "is_invariant", "is_invariant_direct", "divmod_monic", "twist_commutes",
+    "is_invariant", "is_invariant_direct", "divmod_monic",
     "invariant_polynomials", "invariant_count", "iter_invariant_polynomials",
-    "coeffs_central_in_fixed_subring", "horner_tails", "derivation_on_powers",
+    "coeffs_central_in_fixed_subring", "horner_tails",
     "QuotientRing", "AElement", "ScopeError", "build_quotient",
     "Verdict", "ExactnessReport", "DerivationModule", "DerivationTypeReport",
     "InternalInvariantError",

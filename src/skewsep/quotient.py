@@ -24,7 +24,7 @@ of f; weak separability downstream is a statement about its kernel.
 from __future__ import annotations
 
 from .linalg import Matrix, Submodule, hnf, kernel, sub_intersect
-from .rings import BaseRing, RingElement, RingMap, centralizer, left_mul_matrix, right_mul_matrix
+from .rings import BaseRing, RingElement, RingMap, commutant, left_mul_matrix, right_mul_matrix
 from .skew import SkewPoly, SkewPolyRing, divmod_monic, horner_tails, is_invariant
 
 
@@ -223,12 +223,9 @@ class QuotientRing:
         rho_k = self.ring.rho_power(k)
         got = self._twisted.get(rho_k)
         if got is None:
-            rows = []
-            for alpha in self.base.basis():
-                left = self.left_mul_matrix_of(self.embed(alpha))
-                right = self.right_mul_matrix_of(self.embed(rho_k.apply(alpha)))
-                rows.extend(left.sub(right).entries)
-            got = kernel(Matrix(rows, self.coeff, cols=self.dim))
+            got = commutant(self.algebra, [
+                (self.embed(alpha).vec, self.embed(rho_k.apply(alpha)).vec)
+                for alpha in self.base.basis()])
             self._twisted[rho_k] = got
         return got
 
@@ -244,9 +241,8 @@ class QuotientRing:
         tests check, not something to bake in.
         """
         if self._center is None:
-            everything = hnf([b.flat() for b in self.basis_elements()],
-                             self.coeff, dim=self.dim)
-            self._center = centralizer(self.algebra, everything)
+            self._center = commutant(self.algebra,
+                                     [(b.vec, b.vec) for b in self.basis_elements()])
         return self._center
 
     def split_subgroups(self) -> tuple[Submodule, Submodule]:

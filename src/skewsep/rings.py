@@ -299,16 +299,19 @@ def fixed_subring(ring: BaseRing, conditions) -> Submodule:
     return kernel(Matrix(rows, ring.coeff, cols=ring.rank))
 
 
+def commutant(ring: BaseRing, pairs) -> Submodule:
+    """Elements u with a u = u b for every pair (a, b) of coordinate vectors:
+    the kernel of the stacked rows L(a) - R(b)."""
+    rows = []
+    for a, b in pairs:
+        comm = left_mul_matrix(ring, ring.element(a)).sub(
+            right_mul_matrix(ring, ring.element(b)))
+        rows.extend(comm.entries)
+    return kernel(Matrix(rows, ring.coeff, cols=ring.rank))
+
+
 def centralizer(ring: BaseRing, sub: Submodule) -> Submodule:
     """Elements of sub commuting with every element of sub."""
     if sub.ambient_dim != ring.rank or sub.coeff != ring.coeff:
         raise ValueError("subgroup does not live in the ring's coordinate module")
-    if sub.is_zero():
-        return sub
-    rows = []
-    for gen in sub.basis:
-        v = ring.element(gen)
-        comm = left_mul_matrix(ring, v).sub(right_mul_matrix(ring, v))
-        rows.extend(comm.entries)
-    commuting = kernel(Matrix(rows, ring.coeff, cols=ring.rank))
-    return sub_intersect(sub, commuting)
+    return sub_intersect(sub, commutant(ring, [(v, v) for v in sub.basis]))

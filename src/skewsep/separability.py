@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from .linalg import Matrix, Submodule, hnf, kernel, solve, \
     sub_contains, sub_equal, sub_intersect, sub_member
 from .quotient import AElement, QuotientRing
-from .skew import derivation_on_powers, divmod_monic, twist_commutes
 
 
 class InternalInvariantError(RuntimeError):
@@ -134,17 +133,15 @@ def exactness_report(a: QuotientRing) -> ExactnessReport:
 
 def is_weakly_separable(a: QuotientRing) -> Verdict:
     """Full criterion-route verdict for A = R/fR."""
-    s1, s2 = _split_subgroups(a)
-    weakly = sub_equal(s1, s2)
+    report = exactness_report(a)
+    weakly = report.exact_at_twist1
     separable, witness = is_separable(a)
     if separable and not weakly:
         raise InternalInvariantError("separable instance judged not weakly separable")
-    report = exactness_report(a)
     if not report.commutator_kernel_is_center:
         raise InternalInvariantError(
             "kernel of the restricted x-commutator is not the center")
-    if report.exact_at_twist1 != weakly:
-        raise InternalInvariantError("exactness report disagrees with the criterion")
+    s1, s2 = a.split_subgroups()
     return Verdict(separable=separable, witness=witness, weakly_separable=weakly,
                    trace_kernel_in_twist1=s1, commutator_image=s2,
                    exactness=report)
@@ -205,6 +202,13 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
     inner = hnf(inner_gens, a.coeff, dim=dim * dim)
     if not sub_contains(module, inner):
         raise InternalInvariantError("an inner derivation failed the Leibniz system")
+    xflat = a.x_elem().flat()
+    values_at_x = hnf([_unvectorize(row, dim, a.coeff).apply(xflat)
+                       for row in module.basis], a.coeff, dim=dim)
+    s1, _ = _split_subgroups(a)
+    if not sub_equal(values_at_x, s1):
+        raise InternalInvariantError(
+            "derivation values at x do not match the twist-1 trace kernel")
     return DerivationModule(dim=dim, module=module, inner=inner)
 
 
@@ -254,24 +258,8 @@ def _derivations(struct, gens, killed, coeff) -> Submodule:
 
 
 def oracle_weakly_separable(a: QuotientRing) -> bool:
-    """Decide weak separability by its definition: all derivations inner.
-
-    Also cross-checks that the values delta(x) over all derivations fill
-    exactly the twist-1 trace kernel, which ties the oracle to the
-    criterion data without using the criterion.
-    """
-    return _oracle_verdict(a, derivation_module(a))
-
-
-def _oracle_verdict(a: QuotientRing, dm: DerivationModule) -> bool:
-    """oracle_weakly_separable on an already computed derivation module."""
-    xflat = a.x_elem().flat()
-    values_at_x = hnf([_unvectorize(row, a.dim, a.coeff).apply(xflat)
-                       for row in dm.module.basis], a.coeff, dim=a.dim)
-    s1, _ = _split_subgroups(a)
-    if not sub_equal(values_at_x, s1):
-        raise InternalInvariantError(
-            "derivation values at x do not match the twist-1 trace kernel")
+    """Decide weak separability by its definition: all derivations inner."""
+    dm = derivation_module(a)
     return sub_equal(dm.module, dm.inner)
 
 
@@ -286,9 +274,11 @@ def derivation_from_value(a: QuotientRing, u: AElement) -> Matrix:
     """The B-derivation of A sending x to u, as a dim x dim matrix.
 
     u must lie in the twist-1 centralizer and in the trace kernel; those
-    are exactly the values a derivation can take at x.  The construction
-    lifts u, extends it along powers of X, checks that the lift preserves
-    the ideal, and pushes the result back down.
+    are exactly the values a derivation can take at x.  The values on the
+    basis follow by table products: delta(x^(j+1)) = delta(x^j) x + x^j u
+    and delta(x^j e_t) = delta(x^j) e_t.  Such a map is well defined on
+    A = R/fR exactly when delta(f) = sum_k delta(x^k) a_k vanishes, which
+    the twist-1 and trace checks guarantee and which is asserted.
     """
     if u.parent != a:
         raise ValueError("element from a different quotient")
@@ -296,19 +286,14 @@ def derivation_from_value(a: QuotientRing, u: AElement) -> Matrix:
         raise ValueError("value is not in the twist-1 centralizer")
     if not a.trace(u).is_zero():
         raise ValueError("value is not killed by the trace")
-    seed = a.lift(u)
-    if not twist_commutes(seed):
-        raise InternalInvariantError("twist-1 membership did not lift")
-    gs = derivation_on_powers(seed, a.m)
-    lifted = seed.ring.zero()
+    on_powers = [a.zero(), u]       # delta(x^j) for j = 0..m
+    for j in range(1, a.m):
+        on_powers.append(on_powers[j] * a.x_elem() + a.x_power(j) * u)
+    on_f = a.zero()
     for k in range(1, a.m + 1):
-        lifted = lifted + gs[k].scale_right(a.f.coefficient(k))
-    _, rem = divmod_monic(lifted, a.f)
-    if not rem.is_zero():
-        raise InternalInvariantError("derivation lift does not preserve the ideal")
-    cols = []
-    for j in range(a.m):
-        for t in range(a.base.rank):
-            img = a.reduce_poly(gs[j].scale_right(a.base.basis_element(t)))
-            cols.append(img.flat())
+        on_f = on_f + on_powers[k] * a.embed(a.f.coefficient(k))
+    if not on_f.is_zero():
+        raise InternalInvariantError("derivation does not vanish on f")
+    cols = [(on_powers[j] * a.embed(e)).flat()
+            for j in range(a.m) for e in a.base.basis()]
     return Matrix.from_columns(cols, a.coeff, rows=a.dim)

@@ -188,10 +188,6 @@ class SkewPoly:
                         out[i + k] = out[i + k] + part
         return SkewPoly(ring, out)
 
-    def scale_right(self, elem: RingElement) -> "SkewPoly":
-        """Multiply by a scalar on the right (coefficientwise)."""
-        return SkewPoly(self.ring, [c * elem for c in self.coeffs])
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SkewPoly) and self.ring == other.ring
                 and self.coeffs == other.coeffs)
@@ -235,15 +231,6 @@ def divmod_monic(g: SkewPoly, f: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
         q = q + piece
         r = r - f * piece
     return q, r
-
-
-def twist_commutes(g: SkewPoly) -> bool:
-    """Does alpha * g = g * rho(alpha) hold for every scalar alpha?"""
-    ring = g.ring
-    for e in ring.base.basis():
-        if ring.const(e) * g != g * ring.const(ring.rho.apply(e)):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -455,24 +442,3 @@ def horner_tails(f: SkewPoly) -> list[SkewPoly]:
     m = f.degree()
     return [ring.poly([f.coefficient(k + 1) for k in range(j, m)])
             for j in range(m)]
-
-
-def derivation_on_powers(seed: SkewPoly, count: int) -> list[SkewPoly]:
-    """Values g_0..g_count at X^0..X^count of the right-linear derivation
-    sending X to seed.
-
-    Built by g_{j+1} = g_j X + X^j seed, which needs the seed to commute
-    with scalars through the twist; that is checked up front.
-    """
-    ring = seed.ring
-    if not twist_commutes(seed):
-        raise ValueError("seed does not commute with scalars through the twist")
-    out = [ring.zero()]
-    if count >= 1:
-        out.append(seed)
-    xp = ring.x()
-    xpow = ring.one()
-    for j in range(1, count):
-        xpow = xpow * xp             # X^j
-        out.append(out[j] * xp + xpow * seed)
-    return out

@@ -150,6 +150,23 @@ def test_oracle_caps_the_quotient_dimension(tmp_path, monkeypatch, capsys):
     assert "24" in err and str(cli.SWEEP_MAX_DIM) in err
 
 
+def test_decide_caps_the_quotient_dimension(tmp_path, monkeypatch, capsys):
+    # X^61 + 1 over Z/2: one line past the cap, refused before the dim^3 table
+    def no_quotient(ring, f):
+        raise AssertionError("decide built a quotient past the cap")
+
+    monkeypatch.setattr(cli, "build_quotient", no_quotient)
+    dim = cli.DECIDE_MAX_DIM + 1
+    path = write_problem(tmp_path, coeff_modulus=2, rank=1, basis_names=None, unit=[1],
+                         structure_constants=[[[1]]], rho=[[1]], derivation=[[0]],
+                         poly=[[1]] + [[0]] * (dim - 1) + [[1]])
+    start = time.perf_counter()
+    assert main(["decide", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert str(dim) in err and str(cli.DECIDE_MAX_DIM) in err
+
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_census_matches_library(capsys):

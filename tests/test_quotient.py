@@ -146,7 +146,8 @@ def test_mul_matrices_match_products():
 
 def test_built_quotient_needs_no_polynomial_arithmetic(monkeypatch):
     # once built, a quotient multiplies by its table: no skew polynomial
-    # product and no division, including the first product that builds it
+    # product and no division, including the first product that builds it,
+    # and none in a whole verdict, the oracle or a derivation from its value
     quotients = [triangular_quotient(), classical_quotient(3, [1, 2, 0]),
                  build_quotient(swap_ring(), swap_ring().poly([(1, 1), (0, 0)])
                                 + swap_ring().monomial(swap_ring().base.one(), 2))]
@@ -155,7 +156,7 @@ def test_built_quotient_needs_no_polynomial_arithmetic(monkeypatch):
         raise AssertionError("polynomial arithmetic on a built quotient")
 
     monkeypatch.setattr(skewsep.skew.SkewPoly, "__mul__", forbidden)
-    for mod in (skewsep.skew, skewsep.quotient, skewsep.separability):
+    for mod in (skewsep.skew, skewsep.quotient):
         monkeypatch.setattr(mod, "divmod_monic", forbidden)
     for q in quotients:
         basis = q.basis_elements()
@@ -165,6 +166,10 @@ def test_built_quotient_needs_no_polynomial_arithmetic(monkeypatch):
         q.trace_matrix()
         q.center()
         q.twisted_centralizer(1)
+        verdict = skewsep.is_weakly_separable(q)
+        skewsep.derivation_module(q)
+        for row in verdict.trace_kernel_in_twist1.basis:
+            skewsep.derivation_from_value(q, q.from_flat(row))
 
 
 def test_coefficients_commute_with_x():
@@ -250,14 +255,18 @@ def test_twisted_centralizer_triangular():
 
 def test_twisted_centralizers_share_one_kernel(monkeypatch):
     q = triangular_quotient()
-    real = skewsep.quotient.kernel
+    real = skewsep.linalg.kernel
     calls = []
-    monkeypatch.setattr(skewsep.quotient, "kernel",
-                        lambda mat: calls.append(mat) or real(mat))
+    for mod in (skewsep.rings, skewsep.linalg):
+        monkeypatch.setattr(mod, "kernel", lambda mat: calls.append(mat) or real(mat))
     # identity twist: exponents 1, 0 and 1 - m name the same map
     first = q.twisted_centralizer(1)
     assert q.base_centralizer() is first
     assert q.twisted_centralizer(1 - q.m) is first
+    assert len(calls) == 1
+    # the center is one kernel too, with nothing intersected afterwards
+    calls.clear()
+    q.center()
     assert len(calls) == 1
 
 

@@ -9,9 +9,9 @@ import pytest
 from skewsep.linalg import Matrix, sub_member
 from skewsep.rings import RingMap
 from skewsep.skew import (
-    SkewPolyRing, coeffs_central_in_fixed_subring, derivation_on_powers,
-    divmod_monic, horner_tails, invariant_count, invariant_polynomials,
-    is_invariant, is_invariant_direct, iter_invariant_polynomials, twist_commutes,
+    SkewPolyRing, coeffs_central_in_fixed_subring, divmod_monic, horner_tails,
+    invariant_count, invariant_polynomials, is_invariant, is_invariant_direct,
+    iter_invariant_polynomials,
 )
 from corpus import (
     product_ring, sweep_rings, swap_derivation, swap_map, upper_triangular2,
@@ -349,63 +349,6 @@ def test_horner_tails_recurrence_random():
             for j in range(1, m):
                 assert r.x() * tails[j] == tails[j - 1] - r.const(f.coefficient(j))
             assert r.x() * tails[0] == f - r.const(f.coefficient(0))
-
-
-def test_twist_commutes():
-    r = triangular_ring()
-    assert twist_commutes(r.one())
-    assert not twist_commutes(r.x())          # D is nonzero
-    c = classical_ring(6)
-    assert twist_commutes(c.x())               # commutative, trivial maps
-
-
-def test_derivation_on_powers_classical():
-    r = classical_ring(7)
-    gs = derivation_on_powers(r.one(), 5)
-    # the usual d/dX: values j * X^(j-1)
-    assert gs[0].is_zero()
-    for j in range(1, 6):
-        assert gs[j] == r.monomial(r.base.element([j]), j - 1)
-
-
-def test_derivation_on_powers_splitting_identity():
-    r = classical_ring(9)
-    seed = r.poly([[2], [1]])
-    assert twist_commutes(seed)
-    gs = derivation_on_powers(seed, 6)
-    x = r.x()
-    for i, k in [(2, 3), (1, 4), (3, 2), (2, 2)]:
-        xi = r.one()
-        for _ in range(i):
-            xi = xi * x
-        xk = r.one()
-        for _ in range(k):
-            xk = xk * x
-        assert gs[i + k] == gs[i] * xk + xi * gs[k]
-
-
-def test_derivation_on_powers_leibniz_on_polynomials():
-    r = classical_ring(8)
-    seed = r.poly([[3], [2]])
-    gs = derivation_on_powers(seed, 10)
-
-    def delta(h):
-        out = r.zero()
-        for j, c in enumerate(h.coeffs):
-            out = out + gs[j].scale_right(c)
-        return out
-
-    rng = random.Random(13)
-    for _ in range(15):
-        h1 = _random_poly(rng, r, rng.randint(0, 4))
-        h2 = _random_poly(rng, r, rng.randint(0, 4))
-        assert delta(h1 * h2) == delta(h1) * h2 + h1 * delta(h2)
-
-
-def test_derivation_on_powers_rejects_bad_seed():
-    r = triangular_ring()
-    with pytest.raises(ValueError):
-        derivation_on_powers(r.x(), 3)
 
 
 # -------------------------------------------------------------- validation
