@@ -1,7 +1,7 @@
 """Exact separability tests for quotients of skew polynomial rings."""
 
-from .linalg import CoeffRing, Matrix, Submodule, ZZ, hnf, solve, kernel, image, \
-    sub_member, sub_contains, sub_equal, sub_add, sub_intersect
+from .linalg import CoeffRing, Matrix, Submodule, ZZ, hnf, solve, kernel, \
+    sub_member, sub_contains, sub_equal, sub_intersect
 from .rings import BaseRing, RingElement, RingMap, centralizer, commutant, fixed_subring, \
     left_mul_matrix, right_mul_matrix, validate_automorphism, validate_derivation, \
     validate_ring
@@ -17,8 +17,8 @@ from .problems import Problem, ProblemError, load_problem, parse_problem
 
 __all__ = [
     "CoeffRing", "Matrix", "Submodule", "ZZ",
-    "hnf", "solve", "kernel", "image",
-    "sub_member", "sub_contains", "sub_equal", "sub_add", "sub_intersect",
+    "hnf", "solve", "kernel",
+    "sub_member", "sub_contains", "sub_equal", "sub_intersect",
     "BaseRing", "RingElement", "RingMap",
     "centralizer", "commutant", "fixed_subring", "left_mul_matrix", "right_mul_matrix",
     "validate_ring", "validate_automorphism", "validate_derivation",

@@ -3,7 +3,8 @@
 Five subcommands over a single JSON problem-file format:
 
   validate   parse the file and check the ring, twist, and derivation
-  check-r0   decide whether f generates a two-sided ideal
+  check-r0   decide whether f generates a two-sided ideal, capped at
+             DECIDE_MAX_DIM
   decide     full separability / weak separability report, capped at
              DECIDE_MAX_DIM
   oracle     derivation-module route, independent of decide, capped at
@@ -12,11 +13,14 @@ Five subcommands over a single JSON problem-file format:
              degree by degree, capped at SWEEP_MAX_DIM and SWEEP_CENSUS_CAP
 
 Every subcommand refuses a ring of rank above SWEEP_MAX_DIM before it
-validates the ring.
+validates the ring.  Each cap is checked, through _cap, on figures known
+before the work it bounds: the quotient dimension degree * rank before
+the invariance test or the quotient, the census before any quotient.
 
 Exit codes: 0 for a clean run (verdicts live in the report, not the
 code), 2 for unparseable or invalid input data, 3 for inputs outside the
-engine's scope, 4 for an internal invariant breach.
+engine's scope, 4 for an internal invariant breach.  Every refusal with
+exit 3 is a ScopeError, reported by main.
 """
 
 from __future__ import annotations
@@ -44,15 +48,22 @@ EXIT_INTERNAL = 4
 # from the solved cosets before any quotient is built, exits 3
 SWEEP_CENSUS_CAP = 100_000
 # sweep refuses a quotient dimension max_degree * rank above this before it
-# solves anything, and oracle refuses one before it builds the derivation
-# system: that system has dim^2 * (rank + 1) rows, and at dim 20 the
+# solves anything, and oracle refuses one before it builds the quotient:
+# the derivation system has dim^2 * (rank + 1) rows, and at dim 20 the
 # oracle takes about a second per instance.  Every command refuses a rank
 # above it, since every quotient has dimension at least rank
 SWEEP_MAX_DIM = 20
 # decide refuses a quotient dimension degree * rank above this before it
 # builds the dim^3 structure table: on X^m + 1 over Z/2 it takes 0.36 s at
-# m = 24, 1.22 s at 40 and 5.1 s at 60
+# m = 24, 1.22 s at 40 and 5.1 s at 60.  check-r0 refuses the same
+# dimension before its invariance test, which took 4 s at m = 400
 DECIDE_MAX_DIM = 60
+
+
+def _cap(what: str, value: int, cap: int) -> None:
+    """Refuse (exit 3 through main) a size above its cap."""
+    if value > cap:
+        raise ScopeError(f"{what} {value} is more than the cap of {cap}")
 
 
 def _coeff_desc(modulus: int) -> str:
@@ -65,8 +76,7 @@ def _validated_problem(path: str) -> Problem:
     A rank above SWEEP_MAX_DIM raises ScopeError before validation.
     """
     prob = load_problem(path)
-    if prob.base.rank > SWEEP_MAX_DIM:
-        raise ScopeError(f"rank {prob.base.rank} is more than the cap of {SWEEP_MAX_DIM}")
+    _cap("rank", prob.base.rank, SWEEP_MAX_DIM)
     for field, messages in [
             ("structure_constants", validate_ring(prob.base)),
             ("rho", validate_automorphism(prob.base, prob.rho)),
@@ -87,7 +97,9 @@ def _poly_of(prob: Problem, ring: SkewPolyRing):
     return ring.poly([prob.base.element(vec) for vec in prob.poly_coeffs])
 
 
-def _quotient_of(ring: SkewPolyRing, f) -> QuotientRing:
+def _quotient_of(prob: Problem, ring: SkewPolyRing, f, cap: int) -> QuotientRing:
+    """Refuse a quotient dimension above cap before building anything."""
+    _cap("quotient dimension", f.degree() * prob.base.rank, cap)
     try:
         return build_quotient(ring, f)
     except ScopeError:
@@ -118,6 +130,8 @@ def cmd_check_r0(args) -> int:
     prob = _validated_problem(args.path)
     ring = _skew_ring(prob)
     f = _poly_of(prob, ring)
+    # refused where decide refuses it: the invariance test grows with the degree
+    _cap("quotient dimension", f.degree() * prob.base.rank, DECIDE_MAX_DIM)
     print(_ring_line(prob))
     print(f"f = {f}")
     ok, failure = is_invariant(f)
@@ -164,10 +178,7 @@ def cmd_decide(args) -> int:
     prob = _validated_problem(args.path)
     ring = _skew_ring(prob)
     f = _poly_of(prob, ring)
-    dim = f.degree() * prob.base.rank
-    if dim > DECIDE_MAX_DIM:
-        raise ScopeError(f"quotient dimension {dim} is more than the cap of {DECIDE_MAX_DIM}")
-    q = _quotient_of(ring, f)
+    q = _quotient_of(prob, ring, f, DECIDE_MAX_DIM)
     report = _decide_report(prob, q)
     if args.json:
         print(json.dumps(report, indent=2))
@@ -199,11 +210,7 @@ def cmd_oracle(args) -> int:
     prob = _validated_problem(args.path)
     ring = _skew_ring(prob)
     f = _poly_of(prob, ring)
-    q = _quotient_of(ring, f)
-    if q.dim > SWEEP_MAX_DIM:
-        print(f"oracle would build a quotient of dimension {q.dim}, more than the "
-              f"cap of {SWEEP_MAX_DIM}", file=sys.stderr)
-        return EXIT_SCOPE
+    q = _quotient_of(prob, ring, f, SWEEP_MAX_DIM)
     dm = derivation_module(q)
     weakly = sub_equal(dm.module, dm.inner)
     print(_ring_line(prob))
@@ -217,24 +224,15 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     prob = _validated_problem(args.path)
     if prob.base.coeff.modulus == 0:
-        print("sweep needs a finite coefficient ring (coeff_modulus > 0)",
-              file=sys.stderr)
-        return EXIT_SCOPE
+        raise ScopeError("sweep needs a finite coefficient ring (coeff_modulus > 0)")
     if args.max_degree < 1:
         print("--max-degree must be at least 1", file=sys.stderr)
         return EXIT_INPUT
-    dim = args.max_degree * prob.base.rank
-    if dim > SWEEP_MAX_DIM:
-        print(f"sweep would build quotients of dimension up to {dim}, more than the "
-              f"cap of {SWEEP_MAX_DIM}", file=sys.stderr)
-        return EXIT_SCOPE
+    _cap("largest quotient dimension", args.max_degree * prob.base.rank, SWEEP_MAX_DIM)
     ring = _skew_ring(prob)
     solutions = {m: invariant_polynomials(ring, m) for m in range(1, args.max_degree + 1)}
     census = sum(invariant_count(sol) for sol in solutions.values())
-    if census > SWEEP_CENSUS_CAP:
-        print(f"sweep would classify {census} polynomials, more than the cap of "
-              f"{SWEEP_CENSUS_CAP}", file=sys.stderr)
-        return EXIT_SCOPE
+    _cap("number of polynomials to classify", census, SWEEP_CENSUS_CAP)
     instances = []
     for m, sol in solutions.items():
         for f in iter_invariant_polynomials(ring, sol):

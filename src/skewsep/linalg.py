@@ -301,11 +301,6 @@ def kernel(mat: Matrix) -> Submodule:
     return Submodule(mat.cols, mat.coeff, tuple(_kernel_rows(mat)))
 
 
-def image(mat: Matrix) -> Submodule:
-    """Subgroup of coeff^rows generated by the columns of mat."""
-    return hnf([mat.column(j) for j in range(mat.cols)], mat.coeff, dim=mat.rows)
-
-
 def solve(mat: Matrix, b):
     """Solve mat * x = b exactly, in the system's own coefficient ring.
 
@@ -376,11 +371,6 @@ def sub_contains(a: Submodule, b: Submodule) -> bool:
 def sub_equal(a: Submodule, b: Submodule) -> bool:
     _check_compatible(a, b)
     return a.basis == b.basis
-
-
-def sub_add(a: Submodule, b: Submodule) -> Submodule:
-    _check_compatible(a, b)
-    return hnf(list(a.basis) + list(b.basis), a.coeff, dim=a.ambient_dim)
 
 
 def sub_intersect(a: Submodule, b: Submodule) -> Submodule:

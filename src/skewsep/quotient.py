@@ -24,7 +24,7 @@ of f; weak separability downstream is a statement about its kernel.
 from __future__ import annotations
 
 from .linalg import Matrix, Submodule, hnf, kernel, sub_intersect
-from .rings import BaseRing, RingElement, RingMap, commutant, left_mul_matrix, right_mul_matrix
+from .rings import BaseRing, RingElement, RingMap, commutant
 from .skew import SkewPoly, SkewPolyRing, divmod_monic, horner_tails, is_invariant
 
 
@@ -38,8 +38,8 @@ class ScopeError(ValueError):
 
 class QuotientRing:
     __slots__ = ("ring", "f", "m", "base", "coeff", "dim", "tails", "_x",
-                 "_algebra", "_x_powers", "_trace_matrix", "_x_comm_matrix",
-                 "_twisted", "_center", "_trace_kernel", "_split")
+                 "_algebra", "_x_powers", "_trace_matrix", "_twisted",
+                 "_center", "_trace_kernel", "_split")
 
     def __init__(self, ring: SkewPolyRing, f: SkewPoly):
         # use build_quotient; this constructor trusts its caller
@@ -55,7 +55,6 @@ class QuotientRing:
         self._algebra: BaseRing | None = None
         self._x_powers: list | None = None
         self._trace_matrix: Matrix | None = None
-        self._x_comm_matrix: Matrix | None = None
         self._twisted: dict[RingMap, Submodule] = {}
         self._center: Submodule | None = None
         self._trace_kernel: Submodule | None = None
@@ -164,12 +163,6 @@ class QuotientRing:
 
     # ------------------------------------------------------------ operators
 
-    def left_mul_matrix_of(self, a: "AElement") -> Matrix:
-        return left_mul_matrix(self.algebra, self.algebra.element(a.vec))
-
-    def right_mul_matrix_of(self, a: "AElement") -> Matrix:
-        return right_mul_matrix(self.algebra, self.algebra.element(a.vec))
-
     def trace(self, z: "AElement") -> "AElement":
         """tr(z) = sum_j t_j * z * x^j over the Horner tails t_j."""
         if z.parent != self:
@@ -197,19 +190,11 @@ class QuotientRing:
         x = self.x_power(1)
         return z * x - x * z
 
-    def x_commutator_matrix(self) -> Matrix:
-        if self._x_comm_matrix is None:
-            x = self.x_power(1)
-            self._x_comm_matrix = self.right_mul_matrix_of(x).sub(
-                self.left_mul_matrix_of(x))
-        return self._x_comm_matrix
-
     def x_commutator_image(self, sub: Submodule) -> Submodule:
         """Image of the x-commutator restricted to a subgroup."""
         if sub.ambient_dim != self.dim or sub.coeff != self.coeff:
             raise ValueError("subgroup does not live in this quotient")
-        mat = self.x_commutator_matrix()
-        gens = [mat.apply(row) for row in sub.basis]
+        gens = [self.x_commutator(self.from_flat(row)).flat() for row in sub.basis]
         return hnf(gens, self.coeff, dim=self.dim)
 
     # ----------------------------------------------------------- subgroups

@@ -188,14 +188,6 @@ class RingMap:
             raise ValueError("map is not invertible over the coefficient ring")
         return RingMap(self.ring, inv)
 
-    def power(self, k: int) -> "RingMap":
-        if k < 0:
-            return self.inverse().power(-k)
-        out = RingMap.identity(self.ring)
-        for _ in range(k):
-            out = out.compose(self)
-        return out
-
     def is_identity(self) -> bool:
         return self.matrix.is_identity()
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .linalg import Matrix, Submodule, hnf, kernel, solve, \
     sub_contains, sub_equal, sub_intersect, sub_member
 from .quotient import AElement, QuotientRing
+from .rings import commutant, left_mul_matrix, right_mul_matrix
 
 
 class InternalInvariantError(RuntimeError):
@@ -121,11 +122,12 @@ def exactness_report(a: QuotientRing) -> ExactnessReport:
     exact_at_twist1 is the criterion itself.  The second flag compares
     the kernel of the x-commutator restricted to the base centralizer
     with the center of A; their equality is a theorem, so False would be
-    an engine bug (and is also asserted elsewhere).
+    an engine bug (and is also asserted elsewhere).  That kernel is the
+    commutant of x, found like every other centralizer.
     """
     s1, s2 = _split_subgroups(a)
-    restr_kernel = sub_intersect(a.base_centralizer(),
-                                 kernel(a.x_commutator_matrix()))
+    x = a.x_elem().flat()
+    restr_kernel = sub_intersect(a.base_centralizer(), commutant(a.algebra, [(x, x)]))
     return ExactnessReport(
         exact_at_twist1=sub_equal(s1, s2),
         commutator_kernel_is_center=sub_equal(restr_kernel, a.center()))
@@ -267,7 +269,8 @@ def inner_derivation_matrix(a: QuotientRing, v: AElement) -> Matrix:
     """Matrix of z -> vz - zv."""
     if v.parent != a:
         raise ValueError("element from a different quotient")
-    return a.left_mul_matrix_of(v).sub(a.right_mul_matrix_of(v))
+    elem = a.algebra.element(v.flat())
+    return left_mul_matrix(a.algebra, elem).sub(right_mul_matrix(a.algebra, elem))
 
 
 def derivation_from_value(a: QuotientRing, u: AElement) -> Matrix:

@@ -40,6 +40,13 @@ def write_problem(tmp_path, name="problem.json", **overrides):
     return str(path)
 
 
+def _x_power_plus_one(tmp_path, m):
+    """X^m + 1 over Z/2, quotient dimension m."""
+    return write_problem(tmp_path, coeff_modulus=2, rank=1, basis_names=None, unit=[1],
+                         structure_constants=[[[1]]], rho=[[1]], derivation=[[0]],
+                         poly=[[1]] + [[0]] * (m - 1) + [[1]])
+
+
 def triangular_quotient():
     base = upper_triangular2(0)
     ring = SkewPolyRing(base, RingMap.identity(base), ut2_inner_derivation(base))
@@ -140,9 +147,7 @@ def test_oracle_caps_the_quotient_dimension(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(separability, "derivation_module", no_module)
     monkeypatch.setattr(cli, "derivation_module", no_module)
-    path = write_problem(tmp_path, coeff_modulus=2, rank=1, basis_names=None, unit=[1],
-                         structure_constants=[[[1]]], rho=[[1]], derivation=[[0]],
-                         poly=[[1]] + [[0]] * 23 + [[1]])
+    path = _x_power_plus_one(tmp_path, 24)
     start = time.perf_counter()
     assert main(["oracle", path]) == 3
     assert time.perf_counter() - start < 1.0
@@ -157,14 +162,42 @@ def test_decide_caps_the_quotient_dimension(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_quotient", no_quotient)
     dim = cli.DECIDE_MAX_DIM + 1
-    path = write_problem(tmp_path, coeff_modulus=2, rank=1, basis_names=None, unit=[1],
-                         structure_constants=[[[1]]], rho=[[1]], derivation=[[0]],
-                         poly=[[1]] + [[0]] * (dim - 1) + [[1]])
+    path = _x_power_plus_one(tmp_path, dim)
     start = time.perf_counter()
     assert main(["decide", path]) == 3
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert str(dim) in err and str(cli.DECIDE_MAX_DIM) in err
+
+
+def test_check_r0_caps_the_quotient_dimension(tmp_path, monkeypatch, capsys):
+    # the invariance test grows with the degree; check-r0 refuses what
+    # decide refuses, before it runs
+    def no_test(f):
+        raise AssertionError("check-r0 ran the invariance test past the cap")
+
+    monkeypatch.setattr(cli, "is_invariant", no_test)
+    dim = cli.DECIDE_MAX_DIM + 1
+    path = _x_power_plus_one(tmp_path, dim)
+    start = time.perf_counter()
+    assert main(["check-r0", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and str(dim) in err and str(cli.DECIDE_MAX_DIM) in err
+
+
+def test_oracle_refuses_before_building_the_quotient(tmp_path, monkeypatch, capsys):
+    # X^400 + 1: building the quotient alone would take seconds
+    def no_quotient(ring, f):
+        raise AssertionError("oracle built a quotient past the cap")
+
+    monkeypatch.setattr(cli, "build_quotient", no_quotient)
+    path = _x_power_plus_one(tmp_path, 400)
+    start = time.perf_counter()
+    assert main(["oracle", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("out of scope: ") and "400" in err
 
 
 # ------------------------------------------------------------------- sweep

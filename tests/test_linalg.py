@@ -7,8 +7,8 @@ import pytest
 
 from skewsep.linalg import (
     ZZ, CoeffRing, Matrix, Submodule,
-    hnf, image, kernel, matrix_inverse, solve,
-    sub_add, sub_contains, sub_equal, sub_intersect, sub_member,
+    hnf, kernel, matrix_inverse, solve,
+    sub_contains, sub_equal, sub_intersect, sub_member,
     _hnf_rows,
 )
 
@@ -213,13 +213,17 @@ def test_kernel_over_zz_soundness():
         k = kernel(m)
         for row in k.basis:
             assert m.apply(row) == tuple([0] * q)
-        # kernel rank + image rank = p over ZZ
-        assert k.rank + image(m.transpose()).rank == p
+        # kernel rank + row-space rank = p over ZZ
+        assert k.rank + hnf(m.entries, ZZ, dim=p).rank == p
 
 
 def test_image_is_column_span():
+    # the image of m is the Hermite basis of its columns (2, 0) and (1, 1)
     m = Matrix([[2, 1], [0, 1]], ZZ)
-    assert sub_equal(image(m), hnf([(2, 0), (1, 1)], ZZ))
+    img = hnf([m.column(j) for j in range(m.cols)], ZZ, dim=m.rows)
+    assert img.basis == ((1, 1), (0, 2))
+    assert all(sub_member(img, m.apply(v)) for v in product(range(-2, 3), repeat=2))
+    assert not sub_member(img, (1, 0))
 
 
 # ------------------------------------------------------------ subgroup ops
@@ -264,7 +268,7 @@ def test_intersect_over_zz_properties():
 def test_sub_add_and_contains():
     a = hnf([(2, 0)], ZZ)
     b = hnf([(0, 3)], ZZ)
-    c = sub_add(a, b)
+    c = hnf(a.basis + b.basis, ZZ, dim=2)   # the sum a + b
     assert sub_contains(c, a) and sub_contains(c, b)
     assert sub_member(c, (2, 3))
     assert not sub_member(c, (1, 0))

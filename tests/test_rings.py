@@ -10,6 +10,7 @@ from skewsep.rings import (
     centralizer, fixed_subring, left_mul_matrix, right_mul_matrix,
     validate_automorphism, validate_derivation, validate_ring,
 )
+from skewsep.skew import SkewPolyRing
 from corpus import (
     group_algebra_c2, product_ring, swap_derivation, swap_map,
     upper_triangular2, ut2_conjugation, ut2_from_matrix,
@@ -143,12 +144,16 @@ def test_derivation_basis_check_matches_random_pairs():
 def test_ring_map_power_and_inverse():
     ring = upper_triangular2(0)
     conj = ut2_conjugation(ring)
-    inv = conj.power(-1)
+    inv = conj.inverse()
     assert conj.compose(inv).is_identity()
     e11 = ring.basis_element(0)
     assert inv.apply(e11) == ring.element((1, 1, 0))
-    assert conj.power(0).is_identity()
-    assert conj.power(2) == conj.compose(conj)
+    # powers of a twist are taken by the skew polynomial ring that holds it
+    skew = SkewPolyRing(ring, conj, RingMap.zero(ring))
+    assert skew.rho_power(-1) == inv
+    assert skew.rho_power(0).is_identity()
+    assert skew.rho_power(2) == conj.compose(conj)
+    assert skew.rho_power(-2) == inv.compose(inv)
 
 
 def test_fixed_subring_examples():
