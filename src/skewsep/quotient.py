@@ -156,7 +156,7 @@ class QuotientRing:
     def x_power(self, j: int) -> "AElement":
         if self._x_powers is None:
             pows = [self.one()]
-            for _ in range(2 * self.m):
+            for _ in range(self.m):
                 pows.append(pows[-1] * self._x)
             self._x_powers = pows
         return self._x_powers[j]

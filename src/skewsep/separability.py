@@ -10,8 +10,8 @@ linear-algebra problem in the flat coordinates of A.
 
 The oracle route: weak separability literally says every B-linear
 derivation of A is an inner one, so derivation_module computes the full
-module of B-derivations (as vectorized matrices, imposing the Leibniz
-rule on generator pairs: a basis element times e_t or x) and the
+module of B-derivations (as vectorized matrices, solving the Leibniz rule
+on the pairs (basis element, x) for the values at x, .., x^(m-1)) and the
 submodule of inner derivations, and oracle_weakly_separable compares
 them.  The two routes share no criterion-specific code, which is the
 point: they must agree.
@@ -61,7 +61,6 @@ class DerivationTypeReport:
 
     weakly_separable: bool
     separable: bool
-    trace_image_in_center: bool
 
 
 @dataclass(frozen=True)
@@ -173,8 +172,7 @@ def derivation_type_report(a: QuotientRing) -> DerivationTypeReport:
     if separable != is_separable(a)[0]:
         raise InternalInvariantError(
             "derivation-type sequences disagree with the criterion route")
-    return DerivationTypeReport(weakly_separable=weakly, separable=separable,
-                                trace_image_in_center=True)
+    return DerivationTypeReport(weakly_separable=weakly, separable=separable)
 
 
 # ----------------------------------------------------------------- oracle
@@ -189,14 +187,15 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
     (a, s) for all a in A, and if it holds on (a, w) for all a, then
     delta(a w s) = delta(a w) s + a w delta(s) = delta(a) w s + a delta(w s),
     so by induction on word length it holds on every word in S, and those
-    span A.  The e_t equations read delta(z e_t) = delta(z) e_t.  That is
-    dim^2 (rank + 1) equations instead of dim^3.  Inner derivations are the
+    span A.  Right B-linearity, delta(z b) = delta(z) b, is the rule with
+    delta(b) = 0, so setting delta(x^i e_s) = delta(x^i) e_s makes the pairs
+    (z, e_t) hold by construction and leaves (z, x) as the only equations,
+    in the unknowns delta(x), .., delta(x^(m-1)).  Inner derivations are the
     maps z -> vz - zv for v in the base centralizer (commutation with B
     forces v there).
     """
     dim = a.dim
-    gens = [a.embed(b).flat() for b in a.base.basis()] + [a.x_elem().flat()]
-    module = _derivations(a.algebra.structure, gens, range(a.base.rank), a.coeff)
+    module = _derivations(a)
     inner_gens = []
     for vrow in a.base_centralizer().basis:
         ad = inner_derivation_matrix(a, a.from_flat(vrow))
@@ -214,49 +213,40 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
     return DerivationModule(dim=dim, module=module, inner=inner)
 
 
-def _derivations(struct, gens, killed, coeff) -> Submodule:
-    """Additive maps delta of a structure-constant ring, as row-major
-    dim x dim matrices (column j is delta(z_j)), with delta(z_t) = 0 for t
-    in killed and delta(z g) = delta(z) g + z delta(g) for every basis
-    element z and every g in gens (flat vectors).  The killed columns are
-    not unknowns of the linear system.
+def _derivations(a: QuotientRing) -> Submodule:
+    """The B-derivations of A as row-major dim x dim matrices, column p
+    being delta(b_p).  With D_i = delta(x^i) and D_0 = 0, column p = i *
+    rank + s is D_i e_s = R(e_s) D_i, and delta(b_p x) = delta(b_p) x +
+    b_p D_1 for every p gives dim^2 equations in the dim (m - 1) unknowns
+    D_1 .. D_(m-1).  For m = 1, A = B and only the zero map is left.
     """
-    dim = len(struct)
-    killed = set(killed)
-    free = {j: k for k, j in enumerate(j for j in range(dim) if j not in killed)}
-    width = len(free)   # unknown delta(z_j)[p] sits in column p * width + free[j]
+    dim, m, rank, coeff = a.dim, a.m, a.base.rank, a.coeff
+    if m == 1:
+        return Submodule.zero(dim * dim, coeff)
+    alg = a.algebra
+    by_e = [right_mul_matrix(alg, alg.element(a.embed(e).flat())) for e in a.base.basis()]
+    by_x = right_mul_matrix(alg, alg.element(a.x_elem().flat()))
+    x_by_e = [by_x.mul(r) for r in by_e]    # delta(x^i e_s) x = R(x) R(e_s) D_i
+    zero = Matrix.zeros(dim, dim, coeff)
     rows = set()
-    for g in gens:
-        support = [(q, c) for q, c in enumerate(g) if c]
-        # right[s][p] = flat(z_s g)[p], entry (p, s) of right multiplication by g
-        right = [[sum(c * struct[s][q][p] for q, c in support) for p in range(dim)]
-                 for s in range(dim)]
-        live = [(free[q], c) for q, c in support if q in free]      # delta(g)
-        for i in range(dim):
-            zg = [(free[s], c) for s, c in enumerate(right[i]) if c and s in free]
-            col_i = free.get(i)
-            for p in range(dim):
-                row = [0] * (dim * width)
-                for k, c in zg:                  # delta(z_i g)
-                    row[p * width + k] += c
-                for s in range(dim):
-                    base = s * width
-                    c = right[s][p]
-                    if c and col_i is not None:  # delta(z_i) g
-                        row[base + col_i] -= c
-                    c = struct[i][s][p]          # z_i delta(g)
-                    if c:
-                        for k, gq in live:
-                            row[base + k] -= c * gq
-                row = coeff.reduce_vec(row)
-                if any(row):
-                    rows.add(row)
-    basis = []
-    for r in kernel(Matrix(sorted(rows), coeff, cols=dim * width)).basis:
-        cells = iter(r)
-        basis.append(tuple(0 if j in killed else next(cells)
-                           for _ in range(dim) for j in range(dim)))
-    return Submodule(dim * dim, coeff, tuple(basis))
+    for p in range(dim):
+        # blocks[i] is the coefficient matrix of D_i in the dim equations for b_p
+        blocks = [zero] * m
+        for r, c in enumerate(by_x.column(p)):      # delta(b_p x), b_p x = sum c b_r
+            if c:
+                i, s = divmod(r, rank)
+                blocks[i] = blocks[i].add(by_e[s].scale(c))
+        i, s = divmod(p, rank)
+        blocks[i] = blocks[i].sub(x_by_e[s])         # delta(b_p) x
+        blocks[1] = blocks[1].sub(left_mul_matrix(alg, alg.basis_element(p)))  # b_p D_1
+        rows.update(tuple(v for blk in blocks[1:] for v in blk.entries[q]) for q in range(dim))
+    rows.discard((0,) * (dim * (m - 1)))
+    gens = []
+    for v in kernel(Matrix(sorted(rows), coeff, cols=dim * (m - 1))).basis:
+        cols = [by_e[s].apply(v[(i - 1) * dim:i * dim]) if i else (0,) * dim
+                for i in range(m) for s in range(rank)]
+        gens.append([e for row in zip(*cols) for e in row])
+    return hnf(gens, coeff, dim=dim * dim)
 
 
 def oracle_weakly_separable(a: QuotientRing) -> bool:
@@ -288,7 +278,7 @@ def derivation_from_value(a: QuotientRing, u: AElement) -> Matrix:
     if not sub_member(a.twisted_centralizer(1), u.flat()):
         raise ValueError("value is not in the twist-1 centralizer")
     if not a.trace(u).is_zero():
-        raise ValueError("value is not killed by the trace")
+        raise ValueError("value is not in the trace kernel")
     on_powers = [a.zero(), u]       # delta(x^j) for j = 0..m
     for j in range(1, a.m):
         on_powers.append(on_powers[j] * a.x_elem() + a.x_power(j) * u)

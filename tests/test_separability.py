@@ -5,7 +5,8 @@ from itertools import product
 
 import pytest
 
-from skewsep.linalg import hnf, sub_contains, sub_equal, sub_member
+import skewsep.separability
+from skewsep.linalg import hnf, kernel, sub_contains, sub_equal, sub_member
 from skewsep.quotient import build_quotient
 from skewsep.rings import RingMap
 from skewsep.separability import (
@@ -15,9 +16,9 @@ from skewsep.separability import (
 )
 from skewsep.skew import SkewPolyRing
 from corpus import (
-    all_pairs_derivations, lemma_corpus, polygcd_is_one, product_ring,
-    swap_derivation, swap_map, upper_triangular2, ut2_inner_derivation,
-    wide_c2_quotient, zmod_ring,
+    all_pairs_derivations, invariant_survivors, lemma_corpus, polygcd_is_one,
+    product_ring, swap_derivation, swap_map, sweep_rings, upper_triangular2,
+    ut2_inner_derivation, wide_c2_quotient, zmod_ring,
 )
 
 
@@ -194,7 +195,6 @@ def test_derivation_type_report_agrees():
         v = is_weakly_separable(q)
         assert rep.weakly_separable == v.weakly_separable
         assert rep.separable == v.separable
-        assert rep.trace_image_in_center
 
 
 # ------------------------------------------------------- derivation module
@@ -215,12 +215,30 @@ def test_derivation_matrices_satisfy_leibniz():
 
 
 def test_generator_system_equals_the_all_pairs_system():
-    # Leibniz on the pairs (z, s), s in {e_0 .. e_{rank-1}, x}, gives the
+    # right B-linearity built in and Leibniz on the pairs (z, x) give the
     # module that Leibniz on every pair of basis elements gives
     quotients = (sample_quotients() + [build_quotient(r, f) for _, r, f in lemma_corpus()]
                  + [wide_c2_quotient()])
     for q in quotients:
         assert derivation_module(q).module == all_pairs_derivations(q), q
+
+
+def test_leibniz_system_solves_for_the_values_at_powers_of_x(monkeypatch):
+    # unknowns delta(x), delta(x^2): dim (m - 1) columns, at most dim^2 rows
+    shapes = []
+
+    def recording_kernel(mat):
+        shapes.append((mat.rows, mat.cols))
+        return kernel(mat)
+
+    monkeypatch.setattr(skewsep.separability, "kernel", recording_kernel)
+    ring = dict(sweep_rings())["ut2-mod3"]
+    q = build_quotient(ring, next(iter(invariant_survivors(ring, 3))))
+    assert (q.dim, q.base.rank, q.m) == (9, 3, 3)
+    derivation_module(q)
+    assert len(shapes) == 1
+    rows, cols = shapes[0]
+    assert cols == 18 and rows <= 81
 
 
 def test_derivation_values_at_x_fill_the_trace_kernel():
@@ -249,7 +267,7 @@ def test_derivation_from_value_round_trip():
 
 def test_derivation_from_value_rejects_bad_seeds():
     q = classical_quotient(4, [0, 0])    # f = X^2 over Z/4, trace(1) = 2x
-    with pytest.raises(ValueError, match="killed by the trace"):
+    with pytest.raises(ValueError, match="not in the trace kernel"):
         derivation_from_value(q, q.one())
     tw = swap_quotient((1, 1))
     outside = tw.from_flat((1, 0, 0, 0))
