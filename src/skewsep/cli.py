@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .linalg import sub_equal
 from .problems import Problem, ProblemError, load_problem
@@ -108,6 +109,20 @@ def _quotient_of(prob: Problem, ring: SkewPolyRing, f, cap: int) -> QuotientRing
         raise ProblemError("poly", str(exc)) from exc
 
 
+@contextmanager
+def _instance_named(args, prob: Problem, f, errors=(InternalInvariantError,)):
+    """Re-raise errors as an internal breach (exit 4 through main) that names
+    the instance: the command, the problem path, the rank, the coefficient
+    ring and the coordinates of f."""
+    try:
+        yield
+    except errors as exc:
+        poly = [list(c.coords) for c in f.coeffs]
+        raise InternalInvariantError(
+            f"{args.command} of {args.path} (rank {prob.base.rank}, "
+            f"{_coeff_desc(prob.base.coeff.modulus)}), polynomial {poly}: {exc}") from exc
+
+
 def _rows(sub) -> list[list[int]]:
     return [list(row) for row in sub.basis]
 
@@ -134,19 +149,20 @@ def cmd_check_r0(args) -> int:
     _cap("quotient dimension", f.degree() * prob.base.rank, DECIDE_MAX_DIM)
     print(_ring_line(prob))
     print(f"f = {f}")
-    ok, failure = is_invariant(f)
-    if ok != is_invariant_direct(f):
-        raise InternalInvariantError("criterion and direct invariance tests disagree")
-    if ok:
-        print("in r0: yes")
-        if all(ring.rho.apply(c) == c for c in f.coeffs):
-            if not coeffs_central_in_fixed_subring(f):
-                raise InternalInvariantError(
-                    "invariant coefficients escaped the fixed-subring centralizer")
-            print("coefficient location check: ok")
-    else:
-        print("in r0: no")
-        print(f"  {failure.describe(ring.base)}")
+    with _instance_named(args, prob, f):
+        ok, failure = is_invariant(f)
+        if ok != is_invariant_direct(f):
+            raise InternalInvariantError("criterion and direct invariance tests disagree")
+        if ok:
+            print("in r0: yes")
+            if all(ring.rho.apply(c) == c for c in f.coeffs):
+                if not coeffs_central_in_fixed_subring(f):
+                    raise InternalInvariantError(
+                        "invariant coefficients escaped the fixed-subring centralizer")
+                print("coefficient location check: ok")
+        else:
+            print("in r0: no")
+            print(f"  {failure.describe(ring.base)}")
     return EXIT_OK
 
 
@@ -179,7 +195,8 @@ def cmd_decide(args) -> int:
     ring = _skew_ring(prob)
     f = _poly_of(prob, ring)
     q = _quotient_of(prob, ring, f, DECIDE_MAX_DIM)
-    report = _decide_report(prob, q)
+    with _instance_named(args, prob, f):
+        report = _decide_report(prob, q)
     if args.json:
         print(json.dumps(report, indent=2))
         return EXIT_OK
@@ -211,7 +228,8 @@ def cmd_oracle(args) -> int:
     ring = _skew_ring(prob)
     f = _poly_of(prob, ring)
     q = _quotient_of(prob, ring, f, SWEEP_MAX_DIM)
-    dm = derivation_module(q)
+    with _instance_named(args, prob, f):
+        dm = derivation_module(q)
     weakly = sub_equal(dm.module, dm.inner)
     print(_ring_line(prob))
     print(f"f = {f}")
@@ -236,20 +254,14 @@ def cmd_sweep(args) -> int:
     instances = []
     for m, sol in solutions.items():
         for f in iter_invariant_polynomials(ring, sol):
-            poly = [list(c.coords) for c in f.coeffs]
             # every solved f must be invariant and every verdict must hold its
-            # theorem checks; a breach names the instance
-            try:
+            # theorem checks
+            with _instance_named(args, prob, f, (ScopeError, InternalInvariantError)):
                 q = build_quotient(ring, f)
                 v = is_weakly_separable(q)
                 agree = oracle_weakly_separable(q) == v.weakly_separable
-            except (ScopeError, InternalInvariantError) as exc:
-                raise InternalInvariantError(
-                    f"sweep of {args.path} (rank {prob.base.rank}, "
-                    f"{_coeff_desc(prob.base.coeff.modulus)}), solved polynomial "
-                    f"{poly}: {exc}") from exc
             instances.append({
-                "poly": poly,
+                "poly": [list(c.coords) for c in f.coeffs],
                 "degree": m,
                 "separable": v.separable,
                 "weakly_separable": v.weakly_separable,

@@ -202,14 +202,36 @@ class RingMap:
         return f"RingMap({self.matrix!r})"
 
 
+def mul_map_rows(ring: BaseRing, left=(), right=()) -> list[list[int]]:
+    """Rows of the matrix of z -> left * z + z * right, read off the table.
+
+    With c(i, j, k) the e_k coordinate of e_i * e_j, L(a)[p][q] =
+    sum_i a_i c(i, q, p) and R(b)[p][q] = sum_j b_j c(q, j, p); zero
+    coefficients are skipped.  The entries are left unreduced.
+    """
+    rank, struct = ring.rank, ring.structure
+    rows = [[0] * rank for _ in range(rank)]
+    for i, a in enumerate(left):
+        if a:
+            for q, vec in enumerate(struct[i]):
+                for p, c in enumerate(vec):
+                    if c:
+                        rows[p][q] += a * c
+    for j, b in enumerate(right):
+        if b:
+            for q, plane in enumerate(struct):
+                for p, c in enumerate(plane[j]):
+                    if c:
+                        rows[p][q] += b * c
+    return rows
+
+
 def left_mul_matrix(ring: BaseRing, elem: RingElement) -> Matrix:
-    cols = [ring.mul_coords(elem.coords, b.coords) for b in ring.basis()]
-    return Matrix.from_columns(cols, ring.coeff, rows=ring.rank)
+    return Matrix(mul_map_rows(ring, left=elem.coords), ring.coeff, cols=ring.rank)
 
 
 def right_mul_matrix(ring: BaseRing, elem: RingElement) -> Matrix:
-    cols = [ring.mul_coords(b.coords, elem.coords) for b in ring.basis()]
-    return Matrix.from_columns(cols, ring.coeff, rows=ring.rank)
+    return Matrix(mul_map_rows(ring, right=elem.coords), ring.coeff, cols=ring.rank)
 
 
 def validate_ring(ring: BaseRing) -> list[str]:
@@ -296,9 +318,7 @@ def commutant(ring: BaseRing, pairs) -> Submodule:
     the kernel of the stacked rows L(a) - R(b)."""
     rows = []
     for a, b in pairs:
-        comm = left_mul_matrix(ring, ring.element(a)).sub(
-            right_mul_matrix(ring, ring.element(b)))
-        rows.extend(comm.entries)
+        rows.extend(mul_map_rows(ring, a, [-v for v in b]))
     return kernel(Matrix(rows, ring.coeff, cols=ring.rank))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .linalg import Matrix, Submodule, hnf, kernel, solve, \
     sub_contains, sub_equal, sub_intersect, sub_member
 from .quotient import AElement, QuotientRing
-from .rings import commutant, left_mul_matrix, right_mul_matrix
+from .rings import commutant, mul_map_rows
 
 
 class InternalInvariantError(RuntimeError):
@@ -223,28 +223,32 @@ def _derivations(a: QuotientRing) -> Submodule:
     dim, m, rank, coeff = a.dim, a.m, a.base.rank, a.coeff
     if m == 1:
         return Submodule.zero(dim * dim, coeff)
-    alg = a.algebra
-    by_e = [right_mul_matrix(alg, alg.element(a.embed(e).flat())) for e in a.base.basis()]
-    by_x = right_mul_matrix(alg, alg.element(a.x_elem().flat()))
-    x_by_e = [by_x.mul(r) for r in by_e]    # delta(x^i e_s) x = R(x) R(e_s) D_i
-    zero = Matrix.zeros(dim, dim, coeff)
+    alg, width = a.algebra, dim * (m - 1)
+    by_e = [mul_map_rows(alg, right=a.embed(e).flat()) for e in a.base.basis()]
+    by_x = mul_map_rows(alg, right=a.x_elem().flat())
+    # delta(b_p) x = R(x) R(e_s) D_i = R(e_s x) D_i, and e_s x is column s of R(x)
+    x_by_e = [mul_map_rows(alg, right=[row[s] for row in by_x]) for s in range(rank)]
     rows = set()
     for p in range(dim):
-        # blocks[i] is the coefficient matrix of D_i in the dim equations for b_p
-        blocks = [zero] * m
-        for r, c in enumerate(by_x.column(p)):      # delta(b_p x), b_p x = sum c b_r
-            if c:
-                i, s = divmod(r, rank)
-                blocks[i] = blocks[i].add(by_e[s].scale(c))
-        i, s = divmod(p, rank)
-        blocks[i] = blocks[i].sub(x_by_e[s])         # delta(b_p) x
-        blocks[1] = blocks[1].sub(left_mul_matrix(alg, alg.basis_element(p)))  # b_p D_1
-        rows.update(tuple(v for blk in blocks[1:] for v in blk.entries[q]) for q in range(dim))
-    rows.discard((0,) * (dim * (m - 1)))
+        # (i, rows of a dim x dim matrix M, c): the term c M D_i of the equations for b_p
+        terms = [(r // rank, by_e[r % rank], row[p])     # delta(b_p x), b_p x = sum c b_r
+                 for r, row in enumerate(by_x) if row[p]]
+        terms.append((p // rank, x_by_e[p % rank], -1))  # delta(b_p) x
+        terms.append((1, list(zip(*alg.structure[p])), -1))  # b_p D_1, L(b_p)[q][k] = c(p, k, q)
+        for q in range(dim):
+            row = [0] * width
+            for i, mat, c in terms:
+                if i:
+                    off = (i - 1) * dim
+                    for k, v in enumerate(mat[q]):
+                        if v:
+                            row[off + k] += c * v
+            rows.add(coeff.reduce_vec(row))
+    rows.discard((0,) * width)
     gens = []
-    for v in kernel(Matrix(sorted(rows), coeff, cols=dim * (m - 1))).basis:
-        cols = [by_e[s].apply(v[(i - 1) * dim:i * dim]) if i else (0,) * dim
-                for i in range(m) for s in range(rank)]
+    for v in kernel(Matrix(sorted(rows), coeff, cols=width)).basis:
+        cols = [[sum(e * w for e, w in zip(r, v[(i - 1) * dim:i * dim])) for r in by_e[s]]
+                if i else [0] * dim for i in range(m) for s in range(rank)]
         gens.append([e for row in zip(*cols) for e in row])
     return hnf(gens, coeff, dim=dim * dim)
 
@@ -259,8 +263,8 @@ def inner_derivation_matrix(a: QuotientRing, v: AElement) -> Matrix:
     """Matrix of z -> vz - zv."""
     if v.parent != a:
         raise ValueError("element from a different quotient")
-    elem = a.algebra.element(v.flat())
-    return left_mul_matrix(a.algebra, elem).sub(right_mul_matrix(a.algebra, elem))
+    return Matrix(mul_map_rows(a.algebra, v.flat(), [-e for e in v.flat()]),
+                  a.coeff, cols=a.dim)
 
 
 def derivation_from_value(a: QuotientRing, u: AElement) -> Matrix:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .rings import BaseRing, RingElement, RingMap, validate_automorphism, \
     validate_derivation, validate_ring
-from .rings import centralizer, fixed_subring, left_mul_matrix, right_mul_matrix
+from .rings import centralizer, fixed_subring, mul_map_rows
 from .linalg import Matrix, solve, sub_member
 
 
@@ -311,26 +311,27 @@ def invariant_polynomials(ring: SkewPolyRing, m: int):
     width = m * r
     rows, rhs = [], []
 
-    def equations(blocks: dict[int, Matrix], target) -> None:
-        """rank equations: sum over i of blocks[i] applied to a_i = target."""
+    def equations(blocks: dict[int, list], target) -> None:
+        """rank equations: sum over i of the rows blocks[i] applied to a_i = target."""
         for k in range(r):
             row = [0] * width
             for i, mat in blocks.items():
-                row[i * r:(i + 1) * r] = mat.entries[k]
+                row[i * r:(i + 1) * r] = mat[k]
             rows.append(row)
             rhs.append(target[k])
 
-    moved = ring.rho.matrix.sub(Matrix.identity(r, base.coeff))
+    moved = ring.rho.matrix.sub(Matrix.identity(r, base.coeff)).entries
     for i in range(m):
         equations({i: moved}, base.zero().coords)
-        equations({i: ring.deriv.matrix}, base.zero().coords)
+        equations({i: ring.deriv.matrix.entries}, base.zero().coords)
     rho_m = ring.rho_power(m)
     for alpha in base.basis():
-        right = right_mul_matrix(base, rho_m.apply(alpha))
+        right = [-v for v in rho_m.apply(alpha).coords]
         for j in range(m):
-            blocks = {i: left_mul_matrix(base, ring.commutation_map(i, j).apply(alpha))
+            # block i is L(c_ij(alpha)); block j also carries -R(rho^m(alpha))
+            blocks = {i: mul_map_rows(base, ring.commutation_map(i, j).apply(alpha).coords,
+                                      right if i == j else ())
                       for i in range(j, m)}
-            blocks[j] = blocks[j].sub(right)
             equations(blocks, (-ring.commutation_map(m, j).apply(alpha)).coords)
     return solve(Matrix(rows, base.coeff, cols=width), rhs)
 

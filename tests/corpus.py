@@ -149,6 +149,17 @@ def reference_product(q, a, b):
     return q.reduce_poly(q.lift(a) * q.lift(b))
 
 
+def product_mul_matrices(ring, a, b):
+    """(L(a), R(b)) for coordinate vectors a and b of a structure-constant
+    ring, built column by column from products with the basis: the
+    reference for the table reads of rings.mul_map_rows."""
+    basis = [e.coords for e in ring.basis()]
+    left = [ring.mul_coords(a, e) for e in basis]
+    right = [ring.mul_coords(e, b) for e in basis]
+    return (Matrix.from_columns(left, ring.coeff, rows=ring.rank),
+            Matrix.from_columns(right, ring.coeff, rows=ring.rank))
+
+
 def polygcd_is_one(f, p: int) -> bool:
     """Is gcd(f, f') trivial over Z/p (p prime)?  f is a coefficient list."""
     def trim(g):

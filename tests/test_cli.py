@@ -276,6 +276,20 @@ def test_sweep_names_the_instance_on_a_verdict_breach(name, monkeypatch, capsys)
     assert "[[1, 1], [1, 1]]" in err and "theorem check failed" in err
 
 
+@pytest.mark.parametrize("command, name", [("check-r0", "is_invariant_direct"),
+                                           ("decide", "is_weakly_separable"),
+                                           ("oracle", "derivation_module")])
+def test_commands_name_the_instance_on_a_breach(command, name, monkeypatch, capsys):
+    def breach(arg):
+        raise separability.InternalInvariantError("theorem check failed")
+
+    monkeypatch.setattr(cli, name, breach)
+    assert main([command, TRIANGULAR]) == 4
+    err = capsys.readouterr().err
+    assert TRIANGULAR in err and "rank 3, integer coefficients" in err
+    assert "[[3, 0, 1], [3, 0, 1], [1, 0, 1]]" in err and "theorem check failed" in err
+
+
 def test_sweep_caps_the_quotient_dimension_before_solving(tmp_path, monkeypatch, capsys):
     # the census of both is small or empty, but the derivation oracle at
     # dimension 22 or 1000 would run for seconds or hours per instance

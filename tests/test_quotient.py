@@ -6,13 +6,13 @@ from itertools import product
 import pytest
 
 import skewsep
-from skewsep.linalg import hnf, sub_contains, sub_equal, sub_member
+from skewsep.linalg import Matrix, hnf, kernel, sub_contains, sub_equal, sub_member
 from skewsep.quotient import ScopeError, build_quotient
 from skewsep.rings import RingMap, left_mul_matrix, right_mul_matrix
 from skewsep.skew import SkewPolyRing
 from corpus import (
-    lemma_corpus, product_ring, swap_derivation, swap_map, upper_triangular2,
-    ut2_inner_derivation, wide_c2_quotient, zmod_ring,
+    group_algebra_c2, lemma_corpus, product_mul_matrices, product_ring, swap_derivation,
+    swap_map, upper_triangular2, ut2_inner_derivation, wide_c2_quotient, zmod_ring, zz_ring,
 )
 
 
@@ -171,6 +171,45 @@ def test_built_quotient_needs_no_polynomial_arithmetic(monkeypatch):
         skewsep.derivation_module(q)
         for row in verdict.trace_kernel_in_twist1.basis:
             skewsep.derivation_from_value(q, q.from_flat(row))
+
+
+def test_mul_matrices_read_off_the_table(monkeypatch):
+    # L(a), R(b), commutants and inner derivations come from the structure
+    # table alone, and agree with the column-by-column products
+    rng = random.Random(12)
+
+    def several_nonzero(ring):
+        while True:
+            v = ring.coeff.reduce_vec([rng.randint(-4, 4) for _ in range(ring.rank)])
+            if ring.rank == 1 or sum(1 for e in v if e) >= 2:
+                return v
+
+    quotients = corpus_quotients()
+    rings = [zz_ring(), zmod_ring(6), group_algebra_c2(0), upper_triangular2(3),
+             product_ring(2), *(q.algebra for q in quotients)]
+    cases = []
+    for ring in rings:
+        pairs = [(several_nonzero(ring), several_nonzero(ring)) for _ in range(3)]
+        refs = [product_mul_matrices(ring, a, b) for a, b in pairs]
+        stacked = [row for left, right in refs for row in left.sub(right).entries]
+        cases.append((ring, pairs, refs, kernel(Matrix(stacked, ring.coeff, cols=ring.rank))))
+    inner = []
+    for q in quotients:
+        v = several_nonzero(q.algebra)
+        left, right = product_mul_matrices(q.algebra, v, v)
+        inner.append((q, q.from_flat(v), left.sub(right)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a product where the table should be read")
+
+    monkeypatch.setattr(skewsep.rings.BaseRing, "mul_coords", forbidden)
+    for ring, pairs, refs, comm in cases:
+        for (a, b), (left, right) in zip(pairs, refs):
+            assert left_mul_matrix(ring, ring.element(a)) == left
+            assert right_mul_matrix(ring, ring.element(b)) == right
+        assert skewsep.commutant(ring, pairs) == comm
+    for q, v, ad in inner:
+        assert skewsep.inner_derivation_matrix(q, v) == ad
 
 
 def test_coefficients_commute_with_x():
