@@ -181,7 +181,7 @@ def test_mul_matrices_read_off_the_table(monkeypatch):
     def several_nonzero(ring):
         while True:
             v = ring.coeff.reduce_vec([rng.randint(-4, 4) for _ in range(ring.rank)])
-            if ring.rank == 1 or sum(1 for e in v if e) >= 2:
+            if sum(1 for e in v if e) >= min(2, ring.rank):
                 return v
 
     quotients = corpus_quotients()
