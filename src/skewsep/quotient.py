@@ -24,7 +24,7 @@ of f; weak separability downstream is a statement about its kernel.
 from __future__ import annotations
 
 from .linalg import Matrix, Submodule, hnf, kernel, sub_intersect
-from .rings import BaseRing, RingElement, RingMap, commutant
+from .rings import BaseRing, RingElement, RingMap, commutant, mul_map_rows
 from .skew import SkewPoly, SkewPolyRing, divmod_monic, horner_tails, is_invariant
 
 
@@ -73,45 +73,54 @@ class QuotientRing:
     def _structure_constants(self) -> list:
         """flat(b_p * b_q) for every pair of basis elements b_p = x^i e_s.
 
-        x^i b * x^j c = sum_k x^(i+k) (c_jk(b) c) by the commutation maps.
-        For m <= e <= 2m-2, x^e d = sum_l x^l (r_el d) with the residues
-        X^e = sum_l X^l r_el mod fR, which follow from X^m = -sum_l X^l a_l
-        one degree at a time, so no polynomial is divided.
+        x^i e_s * x^j e_t = sum_k x^(i+k) (c_jk(e_s) e_t) by the commutation
+        maps, and c_jk(e_s) e_t = sum_u c_jk(e_s)_u sum_w c(u, t, w) e_w with
+        c the structure constants of B.  So the table is read off the rows
+        xe[e][w] = flat(x^e e_w) for e <= 2m-2: a unit vector for e < m,
+        and for e >= m the row of x^(e-1) e_w shifted up one block, its top
+        block d folded back by X^m = -sum_l X^l a_l into -sum_l x^l (a_l d),
+        with a_l e_v read from B's table.  No element of B or A is
+        multiplied and no polynomial is divided.
         """
         m, r, dim = self.m, self.base.rank, self.dim
-        mul, red = self.base.mul_coords, self.coeff.reduce
-        a = [c.coords for c in self.f.coeffs]
-        residues = {}
-        prev = [self.base.zero().coords] * (m - 1) + [self.base.one().coords]
+        bstruct, red = self.base.structure, self.coeff.reduce
+        # fold[l][v] = a_l e_v = sum_i (a_l)_i c(i, v, .)
+        fold = [[[sum(ai * bstruct[i][v][w] for i, ai in enumerate(c.coords))
+                  for w in range(r)] for v in range(r)] for c in self.f.coeffs[:m]]
+        xe = [[[(e * r + w, 1)] for w in range(r)] for e in range(m)]
         for e in range(m, 2 * m - 1):
-            top = prev[m - 1]
-            prev = [tuple(red((prev[l - 1][u] if l else 0) - v)
-                          for u, v in enumerate(mul(a[l], top)))
-                    for l in range(m)]
-            residues[e] = prev
-        units = [b.coords for b in self.base.basis()]
-        # moved[j][s][k] = c_jk(e_s): column s of the commutation map's matrix
-        moved = [[[self.ring.commutation_map(j, k).matrix.column(s) for k in range(j + 1)]
-                  for s in range(r)] for j in range(m)]
-        struct = []
-        for i in range(m):
-            for s in range(r):
-                plane = []
-                for j in range(m):
+            row = []
+            for w in range(r):
+                out = [0] * dim
+                for idx, v in xe[e - 1][w]:
+                    if idx < dim - r:
+                        out[idx + r] += v
+                    else:
+                        for l in range(m):
+                            for u, c in enumerate(fold[l][idx - dim + r]):
+                                out[l * r + u] -= c * v
+                row.append([(idx, v) for idx, v in enumerate(map(red, out)) if v])
+            xe.append(row)
+        struct = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        for j in range(m):
+            for k in range(j + 1):
+                cmap = self.ring.commutation_map(j, k).matrix.entries
+                for s in range(r):
                     for t in range(r):
-                        out = [0] * dim
-                        for k, cs in enumerate(moved[j][s]):
-                            d = mul(cs, units[t])
-                            e = i + k
-                            if e < m:
-                                for u, v in enumerate(d):
-                                    out[e * r + u] += v
-                            else:
-                                for l, res in enumerate(residues[e]):
-                                    for u, v in enumerate(mul(res, d)):
-                                        out[l * r + u] += v
-                        plane.append(out)
-                struct.append(plane)
+                        # g = c_jk(e_s) e_t, the same for every i
+                        g = [0] * r
+                        for u in range(r):
+                            cu = cmap[u][s]
+                            if cu:
+                                for w, c in enumerate(bstruct[u][t]):
+                                    if c:
+                                        g[w] += cu * c
+                        terms = [(w, c) for w, c in enumerate(g) if c]
+                        for i in range(m):
+                            out = struct[i * r + s][j * r + t]
+                            for w, c in terms:
+                                for idx, v in xe[i + k][w]:
+                                    out[idx] += c * v
         return struct
 
     # ------------------------------------------------------------ elements
@@ -173,9 +182,26 @@ class QuotientRing:
         return out
 
     def trace_matrix(self) -> Matrix:
+        """The matrix of tr, T = sum_j R(x^j) L(t_j), read off the table.
+
+        For j < m, x^j is the unit of B placed in block j, so no power of x
+        is multiplied out; each product R(x^j) L(t_j) is accumulated
+        sparsely, row by row.
+        """
         if self._trace_matrix is None:
-            cols = [self.trace(z).flat() for z in self.basis_elements()]
-            self._trace_matrix = Matrix.from_columns(cols, self.coeff, rows=self.dim)
+            alg, dim, r = self.algebra, self.dim, self.base.rank
+            rows = [[0] * dim for _ in range(dim)]
+            for j, t in enumerate(self.tails):
+                xj = [0] * dim
+                xj[j * r:(j + 1) * r] = self.base.unit
+                left = mul_map_rows(alg, left=t.flat())
+                for row, rrow in zip(rows, mul_map_rows(alg, right=xj)):
+                    for k, c in enumerate(rrow):
+                        if c:
+                            for q, v in enumerate(left[k]):
+                                if v:
+                                    row[q] += c * v
+            self._trace_matrix = Matrix(rows, self.coeff, cols=dim)
         return self._trace_matrix
 
     def trace_kernel(self) -> Submodule:

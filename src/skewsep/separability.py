@@ -99,9 +99,7 @@ def is_separable(a: QuotientRing) -> tuple[bool, AElement | None]:
     if res is None:
         return False, None
     coeffs, _ = res
-    u = a.zero()
-    for c, row in zip(coeffs, cand.basis):
-        u = u + a.from_flat(row).scale(c)
+    u = a.from_flat([sum(c * v for c, v in zip(coeffs, col)) for col in zip(*cand.basis)])
     if a.trace(u) != a.one():
         raise InternalInvariantError("witness reconstruction lost the trace")
     return True, u

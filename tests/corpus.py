@@ -149,6 +149,14 @@ def reference_product(q, a, b):
     return q.reduce_poly(q.lift(a) * q.lift(b))
 
 
+def reference_trace_matrix(q):
+    """The matrix of the trace map of the quotient q, built column by
+    column as tr(b_p) = sum_j t_j b_p x^j from products in A: the
+    reference for QuotientRing.trace_matrix, which reads it off the table."""
+    cols = [q.trace(z).flat() for z in q.basis_elements()]
+    return Matrix.from_columns(cols, q.coeff, rows=q.dim)
+
+
 def product_mul_matrices(ring, a, b):
     """(L(a), R(b)) for coordinate vectors a and b of a structure-constant
     ring, built column by column from products with the basis: the

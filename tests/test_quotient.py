@@ -7,12 +7,14 @@ import pytest
 
 import skewsep
 from skewsep.linalg import Matrix, hnf, kernel, sub_contains, sub_equal, sub_member
-from skewsep.quotient import ScopeError, build_quotient
+from skewsep.quotient import QuotientRing, ScopeError, build_quotient
 from skewsep.rings import RingMap, left_mul_matrix, right_mul_matrix
 from skewsep.skew import SkewPolyRing
 from corpus import (
-    group_algebra_c2, lemma_corpus, product_mul_matrices, product_ring, swap_derivation,
-    swap_map, upper_triangular2, ut2_inner_derivation, wide_c2_quotient, zmod_ring, zz_ring,
+    golden_ring, group_algebra_c2, invariant_survivors, lemma_corpus, product_mul_matrices,
+    product_ring, reference_product, reference_trace_matrix, swap_derivation, swap_map,
+    sweep_rings, upper_triangular2, ut2_inner_derivation, wide_c2_quotient, zmod_ring,
+    zz_ring,
 )
 
 
@@ -171,6 +173,44 @@ def test_built_quotient_needs_no_polynomial_arithmetic(monkeypatch):
         skewsep.derivation_module(q)
         for row in verdict.trace_kernel_in_twist1.basis:
             skewsep.derivation_from_value(q, q.from_flat(row))
+
+
+def test_table_and_trace_matrix_need_no_base_products(monkeypatch):
+    # the structure table and T = sum_j R(x^j) L(t_j) are read off B's
+    # table: no product in B (and so none in A) builds either, and T
+    # equals the column-by-column product build
+    quotients = [triangular_quotient(), classical_quotient(3, [1, 2, 0]),
+                 build_quotient(swap_ring(), swap_ring().poly([(1, 1), (0, 0)])
+                                + swap_ring().monomial(swap_ring().base.one(), 2)),
+                 *corpus_quotients()]
+    # fresh copies, so the patched calls build their tables from scratch
+    cases = [(QuotientRing(q.ring, q.f), reference_trace_matrix(q)) for q in quotients]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a base-ring product where the table should be read")
+
+    monkeypatch.setattr(skewsep.rings.BaseRing, "mul_coords", forbidden)
+    for q, want in cases:
+        assert q.algebra.rank == q.dim
+        assert q.trace_matrix() == want
+
+
+def test_table_past_the_lemma_corpus_degrees():
+    # the x^e e_w rows fold X^m back for e up to 2m - 2; the lemma corpus
+    # stops at degree 3, so check degree 5 (twisted and untwisted) and a
+    # degree-4 integer quotient with large folded coefficients
+    rings = dict(sweep_rings())
+    quotients = [build_quotient(rings[label], next(invariant_survivors(rings[label], 5)))
+                 for label in ("prod22-swap", "ut2-mod3")]
+    ring = golden_ring()
+    a = ring.base.element((3, 0, 1))
+    g = ring.poly([a, a, ring.base.one()])
+    quotients.append(build_quotient(ring, g * g))
+    for q in quotients:
+        basis = q.basis_elements()
+        for u in basis:
+            for v in basis:
+                assert u * v == reference_product(q, u, v)
 
 
 def test_mul_matrices_read_off_the_table(monkeypatch):
