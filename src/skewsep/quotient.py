@@ -11,14 +11,15 @@ element is stored as its flat integer vector in that basis.
 
 A is held as a structure-constant ring of rank dim (QuotientRing.algebra):
 its dim x dim x dim table flat(b_p * b_q), built once, on the first
-product, without polynomial division.  Every product, multiplication
-matrix, centralizer and the center are then the generic structure-constant
-operations of the rings module.  All the structural subgroups (twisted
+product, by reading B's table: no polynomial division and no product in B
+or A.  Every product, multiplication matrix, centralizer and the center
+are then the generic structure-constant operations of the rings module.  All the structural subgroups (twisted
 centralizers, the center, kernels and images of the trace map and the
 x-commutator) are computed exactly in that flat picture.
 
 The trace map is tr(z) = sum_j t_j * z * x^j with t_j the Horner tails
-of f; weak separability downstream is a statement about its kernel.
+of f; its matrix is read off the table as sum_j R(x^j) L(t_j), and weak
+separability downstream is a statement about its kernel.
 """
 
 from __future__ import annotations
@@ -78,15 +79,14 @@ class QuotientRing:
         c the structure constants of B.  So the table is read off the rows
         xe[e][w] = flat(x^e e_w) for e <= 2m-2: a unit vector for e < m,
         and for e >= m the row of x^(e-1) e_w shifted up one block, its top
-        block d folded back by X^m = -sum_l X^l a_l into -sum_l x^l (a_l d),
-        with a_l e_v read from B's table.  No element of B or A is
-        multiplied and no polynomial is divided.
+        block d folded back by X^m = -sum_l X^l a_l into -sum_l x^l (a_l d).
+        The products c_jk(e_s) e_t and a_l e_v are columns of left
+        multiplication matrices read off B's table (rings.mul_map_rows), so
+        no element of B or A is multiplied and no polynomial is divided.
         """
-        m, r, dim = self.m, self.base.rank, self.dim
-        bstruct, red = self.base.structure, self.coeff.reduce
-        # fold[l][v] = a_l e_v = sum_i (a_l)_i c(i, v, .)
-        fold = [[[sum(ai * bstruct[i][v][w] for i, ai in enumerate(c.coords))
-                  for w in range(r)] for v in range(r)] for c in self.f.coeffs[:m]]
+        m, r, dim, red = self.m, self.base.rank, self.dim, self.coeff.reduce
+        # fold[l][v] = a_l e_v, column v of L(a_l)
+        fold = [list(zip(*mul_map_rows(self.base, left=c.coords))) for c in self.f.coeffs[:m]]
         xe = [[[(e * r + w, 1)] for w in range(r)] for e in range(m)]
         for e in range(m, 2 * m - 1):
             row = []
@@ -104,18 +104,12 @@ class QuotientRing:
         struct = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         for j in range(m):
             for k in range(j + 1):
-                cmap = self.ring.commutation_map(j, k).matrix.entries
+                cmap = self.ring.commutation_map(j, k).matrix
                 for s in range(r):
+                    # c_jk(e_s) e_t is column t of L(c_jk(e_s)), the same for every i
+                    moved = mul_map_rows(self.base, left=cmap.column(s))
                     for t in range(r):
-                        # g = c_jk(e_s) e_t, the same for every i
-                        g = [0] * r
-                        for u in range(r):
-                            cu = cmap[u][s]
-                            if cu:
-                                for w, c in enumerate(bstruct[u][t]):
-                                    if c:
-                                        g[w] += cu * c
-                        terms = [(w, c) for w, c in enumerate(g) if c]
+                        terms = [(w, row[t]) for w, row in enumerate(moved) if row[t]]
                         for i in range(m):
                             out = struct[i * r + s][j * r + t]
                             for w, c in terms:
