@@ -198,7 +198,7 @@ def test_table_and_trace_matrix_need_no_base_products(monkeypatch):
 def test_table_past_the_lemma_corpus_degrees():
     # the x^e e_w rows fold X^m back for e up to 2m - 2; the lemma corpus
     # stops at degree 3, so check degree 5 (twisted and untwisted) and a
-    # degree-4 integer quotient with large folded coefficients
+    # degree-4 quotient over the integers, where no modulus reduces the rows
     rings = dict(sweep_rings())
     quotients = [build_quotient(rings[label], next(invariant_survivors(rings[label], 5)))
                  for label in ("prod22-swap", "ut2-mod3")]
