@@ -17,18 +17,20 @@ Every product in the ring reduces to this expansion, so getting it right
 whole multiplication.
 
 A monic f generates a two-sided ideal fR = Rf exactly when a coefficient
-recurrence and a scalar commutation identity hold; is_invariant checks
-those for one polynomial, is_invariant_direct checks the defining products
-themselves, and the two must always agree.  When every coefficient is
-fixed by rho both conditions are linear in the coefficients, so the
-invariant f of one degree form an affine coset that invariant_polynomials
-finds with a single linear solve; iter_invariant_polynomials lists it
-over a finite coefficient ring.
+recurrence and a scalar commutation identity hold.  One generator,
+_conditions, states both; they are linear in the coefficients once the
+shift rho(a_{m-1}) - a_{m-1} is fixed.  is_invariant evaluates them on one
+polynomial; invariant_polynomials solves them at shift 0, with every
+coefficient fixed by rho, so the invariant f of one degree form an affine
+coset found by one linear solve, which iter_invariant_polynomials lists
+over a finite coefficient ring.  is_invariant_direct checks the defining
+products themselves, and the two tests must always agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .rings import BaseRing, RingElement, RingMap, validate_automorphism, \
     validate_derivation, validate_ring
@@ -253,86 +255,82 @@ class InvariantFailure:
                 f"on basis element {ring.name_of(self.basis_index)}")
 
 
-def is_invariant(f: SkewPoly) -> tuple[bool, InvariantFailure | None]:
-    """Does monic f generate a two-sided ideal?  Criterion-based test.
+def _conditions(ring: SkewPolyRing, m: int, shift: RingElement):
+    """The invariance conditions on a monic f of degree m with shift
+    rho(a_{m-1}) - a_{m-1}, as groups of rank equations sum_i blocks[i] a_i
+    = target in a_0..a_{m-1}, each with the InvariantFailure it certifies:
+    first the coefficient recurrence (no a_{-1} term at i = 0)
 
-    Checks the coefficient recurrence through the derivation first, then
-    the scalar commutation identity on every basis element.  It decides
-    single polynomials (check-r0, build_quotient); the polynomials that
-    iter_invariant_polynomials lists pass it again in build_quotient as a
-    runtime assertion.
+        D(a_i) - a_i * shift + (rho - 1)(a_{i-1}) = 0,
+
+    then for each basis element alpha and each j < m the scalar commutation
+
+        sum_{i=j}^{m-1} L(c_ij(alpha)) a_i - R(rho^m(alpha)) a_j = -c_mj(alpha).
     """
-    if not f.is_monic():
-        raise ValueError("invariance test requires a monic polynomial")
-    ring = f.ring
-    m = f.degree()
-    if m == 0:
-        return True, None
-    a = [f.coefficient(i) for i in range(m + 1)]
-    rho, deriv = ring.rho, ring.deriv
-    shift = rho.apply(a[m - 1]) - a[m - 1]
-    if deriv.apply(a[0]) != a[0] * shift:
-        return False, InvariantFailure("coefficient-recurrence", 0)
-    for i in range(1, m):
-        want = a[i - 1] - rho.apply(a[i - 1]) + a[i] * shift
-        if deriv.apply(a[i]) != want:
-            return False, InvariantFailure("coefficient-recurrence", i)
-    rho_m = ring.rho_power(m)
-    for t, alpha in enumerate(ring.base.basis()):
-        target = rho_m.apply(alpha)
-        for j in range(m):
-            acc = ring.base.zero()
-            for i in range(j, m + 1):
-                acc = acc + ring.commutation_map(i, j).apply(alpha) * a[i]
-            if a[j] * target != acc:
-                return False, InvariantFailure("scalar-commutation", j, t)
-    return True, None
-
-
-def invariant_polynomials(ring: SkewPolyRing, m: int):
-    """All monic invariant f of degree m with twist-fixed coefficients.
-
-    With every coefficient fixed by rho the shift rho(a_{m-1}) - a_{m-1}
-    vanishes, and is_invariant's conditions become linear in the m * rank
-    coordinates of (a_0, ..., a_{m-1}):
-
-        (rho - 1)(a_i) = 0,   D(a_i) = 0,
-        sum_{i=j}^{m-1} c_ij(alpha) * a_i - a_j * rho^m(alpha) = -c_mj(alpha)
-
-    for each i, each basis element alpha and each j < m.  One solve gives
-    the solution set.  Returns None when no such f exists, otherwise
-    (x0, K) with the concatenated coefficient vectors of the f exactly
-    the coset x0 + K.
-    """
-    if m < 1:
-        raise ValueError("degree must be at least 1")
     base = ring.base
-    r = base.rank
-    width = m * r
-    rows, rhs = [], []
-
-    def equations(blocks: dict[int, list], target) -> None:
-        """rank equations: sum over i of the rows blocks[i] applied to a_i = target."""
-        for k in range(r):
-            row = [0] * width
-            for i, mat in blocks.items():
-                row[i * r:(i + 1) * r] = mat[k]
-            rows.append(row)
-            rhs.append(target[k])
-
-    moved = ring.rho.matrix.sub(Matrix.identity(r, base.coeff)).entries
+    moved = [[e - (p == q) for q, e in enumerate(row)]
+             for p, row in enumerate(ring.rho.matrix.entries)]
+    recur = [[d + s for d, s in zip(drow, srow)] for drow, srow in
+             zip(ring.deriv.matrix.entries, mul_map_rows(base, right=(-shift).coords))]
     for i in range(m):
-        equations({i: moved}, base.zero().coords)
-        equations({i: ring.deriv.matrix.entries}, base.zero().coords)
+        blocks = {i: recur, i - 1: moved} if i else {i: recur}
+        yield InvariantFailure("coefficient-recurrence", i), blocks, base.zero().coords
     rho_m = ring.rho_power(m)
-    for alpha in base.basis():
+    for t, alpha in enumerate(base.basis()):
         right = [-v for v in rho_m.apply(alpha).coords]
         for j in range(m):
             # block i is L(c_ij(alpha)); block j also carries -R(rho^m(alpha))
             blocks = {i: mul_map_rows(base, ring.commutation_map(i, j).apply(alpha).coords,
                                       right if i == j else ())
                       for i in range(j, m)}
-            equations(blocks, (-ring.commutation_map(m, j).apply(alpha)).coords)
+            yield (InvariantFailure("scalar-commutation", j, t), blocks,
+                   (-ring.commutation_map(m, j).apply(alpha)).coords)
+
+
+def is_invariant(f: SkewPoly) -> tuple[bool, InvariantFailure | None]:
+    """Does monic f generate a two-sided ideal?  Evaluates the groups of
+    _conditions at f's shift and reports the first that fails."""
+    if not f.is_monic():
+        raise ValueError("invariance test requires a monic polynomial")
+    ring = f.ring
+    m = f.degree()
+    if m == 0:
+        return True, None
+    am1 = f.coefficient(m - 1)
+    coords = [f.coefficient(i).coords for i in range(m)]
+    red = ring.base.coeff.reduce
+    for failure, blocks, target in _conditions(ring, m, ring.rho.apply(am1) - am1):
+        for k, want in enumerate(target):
+            if red(sum(e * v for i, mat in blocks.items()
+                       for e, v in zip(mat[k], coords[i])) - want):
+                return False, failure
+    return True, None
+
+
+def invariant_polynomials(ring: SkewPolyRing, m: int):
+    """All monic invariant f of degree m with twist-fixed coefficients.
+
+    With every coefficient fixed by rho the shift vanishes; the rows
+    (rho - 1)(a_i) = 0 and the groups of _conditions at shift 0 are linear
+    in the m * rank coordinates of (a_0, ..., a_{m-1}), and one solve gives
+    their solutions: None when there are none, otherwise (x0, K) with the
+    concatenated coefficient vectors of the f exactly the coset x0 + K.
+    """
+    if m < 1:
+        raise ValueError("degree must be at least 1")
+    base = ring.base
+    r = base.rank
+    width = m * r
+    moved = ring.rho.matrix.sub(Matrix.identity(r, base.coeff)).entries
+    fixed = [(None, {i: moved}, base.zero().coords) for i in range(m)]
+    rows, rhs = [], []
+    for _, blocks, target in chain(fixed, _conditions(ring, m, base.zero())):
+        for k in range(r):
+            row = [0] * width
+            for i, mat in blocks.items():
+                row[i * r:(i + 1) * r] = mat[k]
+            rows.append(row)
+            rhs.append(target[k])
     return solve(Matrix(rows, base.coeff, cols=width), rhs)
 
 

@@ -6,7 +6,9 @@ from itertools import islice
 from skewsep.linalg import CoeffRing, Matrix, ZZ, kernel
 from skewsep.quotient import build_quotient
 from skewsep.rings import BaseRing, RingMap
-from skewsep.skew import SkewPolyRing, invariant_polynomials, iter_invariant_polynomials
+from skewsep.skew import (
+    InvariantFailure, SkewPolyRing, invariant_polynomials, iter_invariant_polynomials,
+)
 
 
 def zmod_ring(n: int) -> BaseRing:
@@ -166,6 +168,35 @@ def product_mul_matrices(ring, a, b):
     right = [ring.mul_coords(e, b) for e in basis]
     return (Matrix.from_columns(left, ring.coeff, rows=ring.rank),
             Matrix.from_columns(right, ring.coeff, rows=ring.rank))
+
+
+def reference_is_invariant(f):
+    """(ok, failure) for a monic f, with each condition checked by ring
+    products: the reference for skew.is_invariant, which evaluates the
+    same conditions as rows read off the structure table."""
+    ring = f.ring
+    m = f.degree()
+    if m == 0:
+        return True, None
+    a = [f.coefficient(i) for i in range(m + 1)]
+    rho, deriv = ring.rho, ring.deriv
+    shift = rho.apply(a[m - 1]) - a[m - 1]
+    if deriv.apply(a[0]) != a[0] * shift:
+        return False, InvariantFailure("coefficient-recurrence", 0)
+    for i in range(1, m):
+        want = a[i - 1] - rho.apply(a[i - 1]) + a[i] * shift
+        if deriv.apply(a[i]) != want:
+            return False, InvariantFailure("coefficient-recurrence", i)
+    rho_m = ring.rho_power(m)
+    for t, alpha in enumerate(ring.base.basis()):
+        target = rho_m.apply(alpha)
+        for j in range(m):
+            acc = ring.base.zero()
+            for i in range(j, m + 1):
+                acc = acc + ring.commutation_map(i, j).apply(alpha) * a[i]
+            if a[j] * target != acc:
+                return False, InvariantFailure("scalar-commutation", j, t)
+    return True, None
 
 
 def polygcd_is_one(f, p: int) -> bool:

@@ -68,6 +68,13 @@ def test_check_r0_golden(capsys):
     assert capsys.readouterr().out == (DATA / "triangular_check_r0.txt").read_text()
 
 
+def test_check_r0_golden_rejection(capsys):
+    # f = X + e12 under the conjugation twist passes the coefficient
+    # recurrence and fails scalar commutation, so the "no" names a basis element
+    assert main(["check-r0", str(DATA / "conj_not_r0.json")]) == 0
+    assert capsys.readouterr().out == (DATA / "conj_not_r0_check_r0.txt").read_text()
+
+
 def test_decide_text_golden(capsys):
     assert main(["decide", TRIANGULAR]) == 0
     assert capsys.readouterr().out == (DATA / "triangular_decide.txt").read_text()

@@ -2,20 +2,21 @@
 
 import math
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from skewsep.linalg import Matrix, sub_member
-from skewsep.rings import RingMap
+from skewsep.rings import BaseRing, RingMap
 from skewsep.skew import (
     SkewPolyRing, coeffs_central_in_fixed_subring, divmod_monic, horner_tails,
     invariant_count, invariant_polynomials, is_invariant, is_invariant_direct,
     iter_invariant_polynomials,
 )
 from corpus import (
-    product_ring, sweep_rings, swap_derivation, swap_map, upper_triangular2,
-    ut2_conjugation, ut2_inner_derivation, zmod_ring, zz_ring,
+    golden_ring, invariant_survivors, product_ring, reference_is_invariant, sweep_rings,
+    swap_derivation, swap_map, upper_triangular2, ut2_conjugation, ut2_inner_derivation,
+    zmod_ring, zz_ring,
 )
 
 
@@ -249,17 +250,20 @@ def test_coeffs_central_holds_for_every_invariant_survivor():
 
 # ------------------------------------------- solved invariant polynomials
 
+def _all_elements(base):
+    n = base.coeff.modulus
+    return [base.element(c) for c in product(range(n), repeat=base.rank)]
+
+
 def brute_force_survivors(ring, m):
     """The oracle: every tuple of twist-fixed coefficients, in
-    lexicographic order, filtered by is_invariant."""
-    n = ring.base.coeff.modulus
-    fixed = [e for e in (ring.base.element(c)
-                         for c in product(range(n), repeat=ring.base.rank))
-             if ring.rho.apply(e) == e]
+    lexicographic order, filtered by the product-built reference test, so
+    it shares no equations with invariant_polynomials."""
+    fixed = [e for e in _all_elements(ring.base) if ring.rho.apply(e) == e]
     one = ring.base.one()
     for tail in product(fixed, repeat=m):
         f = ring.poly(list(tail) + [one])
-        if is_invariant(f)[0]:
+        if reference_is_invariant(f)[0]:
             yield f
 
 
@@ -305,6 +309,86 @@ def test_solved_invariant_polynomials_match_brute_force(label, ring, degrees):
                                              if solution else 0) == len(want)
         for f in got:
             assert is_invariant(f)[0] and is_invariant_direct(f), (label, f)
+
+
+# the sweep rings, the two extra solved rings, and a twisted ring of odd
+# characteristic with invariant f whose coefficients the twist moves, so
+# the sign of the shift term shows
+REFERENCE_RINGS = (sweep_rings() + [(label, ring) for label, ring, _ in SOLVED_CASES[-2:]]
+                   + [("ut2-mod3-conj", _conj_inner_ring(3))])
+
+
+@pytest.mark.parametrize("label, ring", REFERENCE_RINGS,
+                         ids=[label for label, _ in REFERENCE_RINGS])
+def test_is_invariant_matches_reference(label, ring):
+    # every monic f of degree <= 2, coefficients the twist moves included:
+    # the same verdict and the same first failing condition
+    elems = _all_elements(ring.base)
+    one = ring.base.one()
+    for m in range(3):
+        for tail in product(elems, repeat=m):
+            f = ring.poly(list(tail) + [one])
+            assert is_invariant(f) == reference_is_invariant(f), (label, f)
+
+
+def test_is_invariant_matches_reference_over_zz():
+    # random integer f are almost all rejected, so add g(X + e11) for
+    # integer g, which are invariant over the golden ring
+    rng = random.Random(1414)
+    ring = golden_ring()
+    base = ring.base
+    y = ring.x() + ring.const(base.basis_element(0))
+    polys = []
+    for _ in range(60):
+        m = rng.randint(1, 4)
+        polys.append(_random_poly(rng, ring, m - 1) + ring.monomial(base.one(), m))
+        g = ring.one()
+        for _ in range(m):
+            g = g * (y + ring.const(base.one().scale(rng.randint(-9, 9))))
+        polys.append(g)
+    verdicts = set()
+    for f in polys:
+        got = is_invariant(f)
+        assert got == reference_is_invariant(f), f
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def _invariance_cases():
+    """(ring, polynomials) over the sweep rings, the golden ring and the
+    conjugation ring: every monic f of degree 1 over the finite rings and
+    the first invariant ones of degree 2, accepted and rejected f over
+    the integer rings."""
+    cases = []
+    for _, ring in sweep_rings():
+        one = ring.base.one()
+        fs = [ring.poly([c, one]) for c in _all_elements(ring.base)]
+        cases.append((ring, fs + list(islice(invariant_survivors(ring, 2), 3))))
+    ring = golden_ring()
+    e12 = ring.base.basis_element(1)
+    cases.append((ring, [triangular_f(ring), ring.poly([ring.base.zero(), e12, ring.base.one()])]))
+    ring = conj_ring()
+    # X + u^-1 for the conjugating u = [[1, 1], [0, 1]] is invariant, X + e12 is not
+    cases.append((ring, [ring.poly([(1, -1, 1), (1, 0, 1)]), ring.poly([(0, 1, 0), (1, 0, 1)])]))
+    return cases
+
+
+def test_invariance_needs_no_base_products(monkeypatch):
+    # is_invariant and invariant_polynomials read their equations off the
+    # structure table: rings built first, then every base product refused
+    want = [([reference_is_invariant(f) for f in fs],
+             [invariant_polynomials(ring, m) for m in (1, 2)])
+            for ring, fs in _invariance_cases()]
+    assert {ok for verdicts, _ in want for ok, _ in verdicts} == {True, False}
+    cases = _invariance_cases()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a base-ring product where the table should be read")
+
+    monkeypatch.setattr(BaseRing, "mul_coords", forbidden)
+    for (ring, fs), (verdicts, solved) in zip(cases, want):
+        assert [is_invariant(f) for f in fs] == verdicts
+        assert [invariant_polynomials(ring, m) for m in (1, 2)] == solved
 
 
 def test_invariant_polynomials_over_zz():
