@@ -310,9 +310,6 @@ class AElement:
         self._check(other)
         return AElement(self.parent, self.parent.algebra.mul_coords(self.vec, other.vec))
 
-    def scale(self, c: int) -> "AElement":
-        return AElement(self.parent, [c * a for a in self.vec])
-
     def is_zero(self) -> bool:
         return not any(self.vec)
 

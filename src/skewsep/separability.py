@@ -16,11 +16,13 @@ submodule of inner derivations, and oracle_weakly_separable compares
 them.  The two routes share no criterion-specific code, which is the
 point: they must agree.
 
-Inclusions that hold by theorem (commutator image inside the trace
+Relations that hold by theorem (commutator image inside the trace
 kernel, separable implying weakly separable, derivation values at x
-filling the whole twist-1 trace kernel) are asserted at runtime; a
-violation raises InternalInvariantError, meaning the implementation, not
-the input, is wrong.
+filling the whole twist-1 trace kernel, and under the identity twist
+separable iff weakly separable with the trace mapping the base
+centralizer onto the center) are asserted at runtime; a violation raises
+InternalInvariantError, meaning the implementation, not the input, is
+wrong.
 """
 
 from __future__ import annotations
@@ -53,14 +55,6 @@ class Verdict:
     trace_kernel_in_twist1: Submodule   # twist-1 centralizer cut to Ker(trace)
     commutator_image: Submodule         # x-commutator image of the base centralizer
     exactness: ExactnessReport
-
-
-@dataclass(frozen=True)
-class DerivationTypeReport:
-    """Verdicts recomputed through the trivial-twist exact sequences."""
-
-    weakly_separable: bool
-    separable: bool
 
 
 @dataclass(frozen=True)
@@ -130,6 +124,31 @@ def exactness_report(a: QuotientRing) -> ExactnessReport:
         commutator_kernel_is_center=sub_equal(restr_kernel, a.center()))
 
 
+def _check_derivation_type(a: QuotientRing, witness: AElement | None) -> None:
+    """Derivation type (identity twist): A is separable iff it is weakly
+    separable and the trace maps the base centralizer V onto the center C.
+
+    Separable implies weakly is asserted by the caller, so what is left is
+    tr(V) = C exactly when there is a witness.  tr(V) lies in C, and so
+    does 1, which is_separable's unsolvable system keeps out of tr(V)
+    (every twisted centralizer is V here); a witness u gives each basis
+    row c of C as tr(u c), with u c in V.  Only membership tests against
+    subgroups already built: no Hermite form of tr(V).
+    """
+    v, c, t = a.base_centralizer(), a.center(), a.trace_matrix()
+    if not all(sub_member(c, t.apply(row)) for row in v.basis):
+        raise InternalInvariantError("trace of the base centralizer left the center")
+    if not sub_member(c, a.one().flat()):
+        raise InternalInvariantError("the unit is not in the center")
+    if witness is None:
+        return
+    for row in c.basis:
+        uc = (witness * a.from_flat(row)).flat()
+        if not sub_member(v, uc) or t.apply(uc) != a.coeff.reduce_vec(row):
+            raise InternalInvariantError(
+                "trace of the base centralizer does not cover the center")
+
+
 def is_weakly_separable(a: QuotientRing) -> Verdict:
     """Full criterion-route verdict for A = R/fR."""
     report = exactness_report(a)
@@ -140,37 +159,12 @@ def is_weakly_separable(a: QuotientRing) -> Verdict:
     if not report.commutator_kernel_is_center:
         raise InternalInvariantError(
             "kernel of the restricted x-commutator is not the center")
+    if a.ring.rho.is_identity():
+        _check_derivation_type(a, witness)
     s1, s2 = a.split_subgroups()
     return Verdict(separable=separable, witness=witness, weakly_separable=weakly,
                    trace_kernel_in_twist1=s1, commutator_image=s2,
                    exactness=report)
-
-
-def derivation_type_report(a: QuotientRing) -> DerivationTypeReport:
-    """Trivial-twist reformulation of both verdicts; asserts agreement.
-
-    Requires the twist to be the identity.  In that case every twisted
-    centralizer collapses to the base centralizer V, so the split subgroups
-    are V intersect Ker(trace) and the x-commutator image of V, the
-    verdicts become exactness statements about V -> V -> C(A), and
-    separability adds surjectivity of the trace onto the center.
-    """
-    if not a.ring.rho.is_identity():
-        raise ValueError("derivation-type report needs the identity twist")
-    v = a.base_centralizer()
-    c = a.center()
-    trace_image = hnf([a.trace_matrix().apply(row) for row in v.basis],
-                      a.coeff, dim=a.dim)
-    if not sub_contains(c, trace_image):
-        raise InternalInvariantError("trace image of the base centralizer "
-                                     "left the center")
-    middle, commutators = _split_subgroups(a)
-    weakly = sub_equal(middle, commutators)
-    separable = weakly and sub_equal(trace_image, c)
-    if separable != is_separable(a)[0]:
-        raise InternalInvariantError(
-            "derivation-type sequences disagree with the criterion route")
-    return DerivationTypeReport(weakly_separable=weakly, separable=separable)
 
 
 # ----------------------------------------------------------------- oracle

@@ -10,7 +10,7 @@ from skewsep.linalg import hnf, kernel, sub_contains, sub_equal, sub_member
 from skewsep.quotient import build_quotient
 from skewsep.rings import RingMap
 from skewsep.separability import (
-    derivation_from_value, derivation_module, derivation_type_report,
+    InternalInvariantError, derivation_from_value, derivation_module,
     exactness_report, inner_derivation_matrix, is_separable,
     is_weakly_separable, oracle_weakly_separable,
 )
@@ -182,19 +182,43 @@ def test_criteria_agree_with_derivation_oracle():
         assert is_weakly_separable(q).weakly_separable == oracle_weakly_separable(q)
 
 
-def test_derivation_type_report_requires_identity_twist():
-    with pytest.raises(ValueError, match="identity twist"):
-        derivation_type_report(swap_quotient((0, 0)))
+DERIVATION_TYPE_CASES = {
+    "golden_triangular": triangular_quotient,       # weakly, not separable, over ZZ
+    "x2_x_1_mod2": lambda: classical_quotient(2, [1, 1]),
+    "x2_x_mod2": lambda: classical_quotient(2, [1, 0]),
+    "x3_x_mod3": lambda: classical_quotient(3, [0, 2, 0]),
+    "x2_mod4": lambda: classical_quotient(4, [0, 0]),
+    "x_3_mod5": lambda: classical_quotient(5, [3]),
+}
 
 
-def test_derivation_type_report_agrees():
-    for q in [triangular_quotient(), classical_quotient(2, [1, 1]),
-              classical_quotient(2, [1, 0]), classical_quotient(3, [0, 2, 0]),
-              classical_quotient(4, [0, 0]), classical_quotient(5, [3])]:
-        rep = derivation_type_report(q)
-        v = is_weakly_separable(q)
-        assert rep.weakly_separable == v.weakly_separable
-        assert rep.separable == v.separable
+@pytest.mark.parametrize("name", DERIVATION_TYPE_CASES)
+def test_derivation_type_relation(name):
+    q = DERIVATION_TYPE_CASES[name]()
+    v = is_weakly_separable(q)
+    center = q.center()
+    trace_image = hnf([q.trace_matrix().apply(row) for row in q.base_centralizer().basis],
+                      q.coeff, dim=q.dim)
+    assert sub_contains(center, trace_image)
+    assert v.separable == (v.weakly_separable and sub_equal(trace_image, center))
+
+
+def test_derivation_type_breach_is_caught(monkeypatch):
+    q = classical_quotient(3, [0, 2, 0])
+    sep, w = is_separable(q)
+    assert sep
+    # 2u is in the base centralizer with trace 2: it cannot cover the center
+    monkeypatch.setattr(skewsep.separability, "is_separable", lambda a: (True, w + w))
+    with pytest.raises(InternalInvariantError, match="cover the center"):
+        is_weakly_separable(q)
+
+
+def test_derivation_type_check_adds_no_hermite_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hnf called")
+    monkeypatch.setattr(skewsep.separability, "hnf", refuse)
+    v = is_weakly_separable(triangular_quotient())
+    assert v.weakly_separable and not v.separable
 
 
 # ------------------------------------------------------- derivation module
