@@ -130,10 +130,10 @@ def _check_derivation_type(a: QuotientRing, witness: AElement | None) -> None:
 
     Separable implies weakly is asserted by the caller, so what is left is
     tr(V) = C exactly when there is a witness.  tr(V) lies in C, and so
-    does 1, which is_separable's unsolvable system keeps out of tr(V)
-    (every twisted centralizer is V here); a witness u gives each basis
-    row c of C as tr(u c), with u c in V.  Only membership tests against
-    subgroups already built: no Hermite form of tr(V).
+    does 1; without a witness, is_separable's unsolvable system shows that
+    1 is not in tr(V) (every twisted centralizer is V here).  A witness u
+    gives each basis row c of C as tr(u c), with u c in V.  Only membership
+    tests against subgroups already built: no Hermite form of tr(V).
     """
     v, c, t = a.base_centralizer(), a.center(), a.trace_matrix()
     if not all(sub_member(c, t.apply(row)) for row in v.basis):
