@@ -20,10 +20,11 @@ Hermite form is the only elimination in the package, and one routine
 (_hnf_rows) computes it for both rings, with n == 0 standing for ZZ.  At
 each column it runs Euclid on the rows with a nonzero entry there; rows
 that reach zero stay in the working set and are never candidates again.
-Kernels, solution sets (solve), inverses (matrix_inverse) and
-intersections (sub_intersect) are all read off a Hermite kernel computed
-in the system's own ring, so work over ZZ/n stays mod n; the particular
-solution solve returns is the Hermite-reduced representative of its coset.
+Kernels, solution sets (solve) and intersections (sub_intersect) are all
+read off a Hermite kernel computed in the system's own ring, so work over
+ZZ/n stays mod n; the particular solution solve returns is the
+Hermite-reduced representative of its coset.  An inverse (matrix_inverse)
+is one Hermite form of the rows (column j | e_j), with no solve.
 """
 
 from __future__ import annotations
@@ -326,18 +327,21 @@ def solve(mat: Matrix, b):
 
 
 def matrix_inverse(mat: Matrix):
-    """Inverse over the coefficient ring, or None when not invertible."""
-    if mat.rows != mat.cols:
-        return None
-    cols = []
+    """Inverse over the coefficient ring, or None when not invertible.
+
+    The rows (column j of mat | e_j) span the pairs (b mat^T, b).  Their
+    Hermite form is (I | U) exactly when mat is invertible, and then
+    U mat^T = I, so U^T is the inverse.
+    """
     nn = mat.rows
-    for j in range(nn):
-        e = [1 if i == j else 0 for i in range(nn)]
-        res = solve(mat, e)
-        if res is None:
-            return None
-        cols.append(res[0])
-    return Matrix.from_columns(cols, mat.coeff, rows=nn)
+    if nn != mat.cols:
+        return None
+    eye = [[1 if t == j else 0 for t in range(nn)] for j in range(nn)]
+    rows = _hnf_rows([list(mat.column(j)) + e for j, e in enumerate(eye)], 2 * nn,
+                     mat.coeff.modulus)
+    if [row[:nn] for row in rows] != eye:
+        return None
+    return Matrix.from_columns([row[nn:] for row in rows], mat.coeff, rows=nn)
 
 
 def _check_compatible(a: Submodule, b: Submodule) -> None:

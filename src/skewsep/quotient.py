@@ -203,19 +203,23 @@ class QuotientRing:
             self._trace_kernel = kernel(self.trace_matrix())
         return self._trace_kernel
 
+    def _x_commutator_matrix(self) -> Matrix:
+        """The matrix of z -> z x - x z, read off the table."""
+        x = self._x.flat()
+        return Matrix(mul_map_rows(self.algebra, [-e for e in x], x), self.coeff, cols=self.dim)
+
     def x_commutator(self, z: "AElement") -> "AElement":
         """z x - x z."""
         if z.parent != self:
             raise ValueError("element from a different quotient")
-        x = self.x_power(1)
-        return z * x - x * z
+        return self.from_flat(self._x_commutator_matrix().apply(z.flat()))
 
     def x_commutator_image(self, sub: Submodule) -> Submodule:
         """Image of the x-commutator restricted to a subgroup."""
         if sub.ambient_dim != self.dim or sub.coeff != self.coeff:
             raise ValueError("subgroup does not live in this quotient")
-        gens = [self.x_commutator(self.from_flat(row)).flat() for row in sub.basis]
-        return hnf(gens, self.coeff, dim=self.dim)
+        ad = self._x_commutator_matrix()
+        return hnf([ad.apply(row) for row in sub.basis], self.coeff, dim=self.dim)
 
     # ----------------------------------------------------------- subgroups
 

@@ -22,15 +22,17 @@ _conditions, states both; they are linear in the coefficients once the
 shift rho(a_{m-1}) - a_{m-1} is fixed.  is_invariant evaluates them on one
 polynomial; invariant_polynomials solves them at shift 0, with every
 coefficient fixed by rho, so the invariant f of one degree form an affine
-coset found by one linear solve, which iter_invariant_polynomials lists
-over a finite coefficient ring.  is_invariant_direct checks the defining
+coset found by one linear solve.  Over a finite coefficient ring,
+iter_invariant_polynomials lists that coset by forming every element from
+the Hermite basis and sorting.  is_invariant_direct checks the defining
 products themselves, and the two tests must always agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
+from math import prod
 
 from .rings import BaseRing, RingElement, RingMap, validate_automorphism, \
     validate_derivation, validate_ring
@@ -62,8 +64,10 @@ class SkewPolyRing:
         if got is None:
             if k > 0:
                 got = self.rho.compose(self.rho_power(k - 1))
+            elif k == -1:
+                got = self.rho.inverse()
             else:
-                got = self.rho_power(k + 1).compose(self.rho.inverse())
+                got = self.rho_power(-1).compose(self.rho_power(k + 1))
             self._rho_pows[k] = got
         return got
 
@@ -334,58 +338,41 @@ def invariant_polynomials(ring: SkewPolyRing, m: int):
     return solve(Matrix(rows, base.coeff, cols=width), rhs)
 
 
-def _pivot_column(row) -> int:
-    return next(c for c, e in enumerate(row) if e)
+def _multiple_bounds(kern) -> list[int]:
+    """n // pivot over the Hermite rows of K, for a coset over Z/n: with
+    0 <= c_k < n // pivot_k the sums x0 + sum c_k * K_k mod n are the
+    coset's elements, each once."""
+    n = kern.coeff.modulus
+    if not n:
+        raise ValueError("the coset is finite only over a finite coefficient ring")
+    return [n // next(e for e in row if e) for row in kern.basis]
 
 
 def invariant_count(solution) -> int:
-    """Size of the coset x0 + K returned by invariant_polynomials over
-    Z/n: the product of n // pivot over the Hermite rows of K."""
+    """Size of the coset x0 + K returned by invariant_polynomials over Z/n."""
     if solution is None:
         return 0
-    _, kern = solution
-    n = kern.coeff.modulus
-    if not n:
-        raise ValueError("counting needs a finite coefficient ring")
-    count = 1
-    for row in kern.basis:
-        count *= n // row[_pivot_column(row)]
-    return count
+    return prod(_multiple_bounds(solution[1]))
 
 
 def iter_invariant_polynomials(ring: SkewPolyRing, solution):
     """The monic f of the coset x0 + K returned by invariant_polynomials,
     over Z/n, in lexicographic order of (a_0, ..., a_{m-1}).
 
-    Each element is x0 + sum c_k * K_k with 0 <= c_k < n // pivot_k.  K is
-    zero left of each row's pivot column, so choosing c_k to put the entry
-    at that column on t * pivot + (entry mod pivot) for t = 0, 1, ... walks
-    the coset in sorted order.
+    Every x0 + sum c_k * K_k mod n with 0 <= c_k < n // pivot_k is formed
+    and the list is sorted before the first f is yielded, so the whole
+    coset is built eagerly.
     """
     if solution is None:
         return
     x0, kern = solution
-    n = ring.base.coeff.modulus
-    if not n:
-        raise ValueError("enumeration needs a finite coefficient ring")
-    r = ring.base.rank
-    one = ring.base.one()
-    basis = kern.basis
-    pivots = [_pivot_column(row) for row in basis]
-
-    def walk(k: int, vec):
-        if k == len(basis):
-            yield ring.poly([vec[i:i + r] for i in range(0, len(vec), r)] + [one])
-            return
-        row, col = basis[k], pivots[k]
-        step = row[col]
-        size = n // step
-        start = vec[col] // step
-        for t in range(size):
-            c = (t - start) % size
-            yield from walk(k + 1, tuple((v + c * e) % n for v, e in zip(vec, row)))
-
-    yield from walk(0, x0)
+    n, r, one = kern.coeff.modulus, ring.base.rank, ring.base.one()
+    # coordinate i of x0 + sum c_k * K_k is (1, c) dotted with (x0_i, K_1i, K_2i, ...)
+    cols = list(zip(x0, *kern.basis))
+    coset = sorted(tuple(sum(c * e for c, e in zip((1,) + cs, col)) % n for col in cols)
+                   for cs in product(*map(range, _multiple_bounds(kern))))
+    for vec in coset:
+        yield ring.poly([vec[i:i + r] for i in range(0, len(vec), r)] + [one])
 
 
 def is_invariant_direct(f: SkewPoly) -> bool:

@@ -132,6 +132,16 @@ def test_oracle_report(capsys):
     assert "weakly separable (by derivation census): yes" in out
 
 
+@pytest.mark.parametrize("problem, golden", [
+    (TRIANGULAR, "triangular_oracle.txt"),
+    # a rank-1 derivation module, all of it inner
+    (SWAP, "swap_ring_oracle.txt"),
+])
+def test_oracle_golden(problem, golden, capsys):
+    assert main(["oracle", problem]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
 def test_oracle_builds_the_derivation_module_once(monkeypatch, capsys):
     real = separability.derivation_module
     calls = []

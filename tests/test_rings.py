@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from skewsep.linalg import CoeffRing, Matrix, ZZ, hnf, sub_equal, sub_member
+from skewsep import rings
+from skewsep.linalg import CoeffRing, Matrix, ZZ, hnf, matrix_inverse, sub_equal, sub_member
 from skewsep.rings import (
     BaseRing, RingMap,
     centralizer, fixed_subring, left_mul_matrix, right_mul_matrix,
@@ -154,6 +155,22 @@ def test_ring_map_power_and_inverse():
     assert skew.rho_power(0).is_identity()
     assert skew.rho_power(2) == conj.compose(conj)
     assert skew.rho_power(-2) == inv.compose(inv)
+
+
+def test_rho_power_inverts_the_twist_once(monkeypatch):
+    ring = upper_triangular2(0)
+    conj = ut2_conjugation(ring)
+    inv = conj.inverse()
+    skew = SkewPolyRing(ring, conj, RingMap.zero(ring))
+    calls = []
+
+    def counted(mat):
+        calls.append(mat)
+        return matrix_inverse(mat)
+
+    monkeypatch.setattr(rings, "matrix_inverse", counted)
+    assert skew.rho_power(-3) == inv.compose(inv).compose(inv)
+    assert len(calls) == 1
 
 
 def test_fixed_subring_examples():

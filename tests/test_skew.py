@@ -285,9 +285,9 @@ def _conj_inner_ring(n):
 
 # (label, ring, degrees): the census rings at degrees 1-3, and at 4 where
 # brute force stays small, plus a ring mod 4 whose cosets have Hermite
-# pivots 2 with entries above them, so the walk must rotate each row's
-# multiples to stay sorted, and a ring whose scalar commutation identity
-# alone admits coefficients the twist moves
+# pivots 2 with entries above them, so the order of each row's multiples
+# is not the sorted order of the coset, and a ring whose scalar
+# commutation identity alone admits coefficients the twist moves
 SOLVED_CASES = [(label, ring, [m for m in range(1, 5) if m <= 3 or
                                ring.base.coeff.modulus ** (ring.base.rank * m) <= 70_000])
                 for label, ring in sweep_rings()]
