@@ -11,7 +11,7 @@ linear-algebra problem in the flat coordinates of A.
 The oracle route: weak separability literally says every B-linear
 derivation of A is an inner one, so derivation_module computes the full
 module of B-derivations (as vectorized matrices, solving the Leibniz rule
-on the pairs (basis element, x) for the values at x, .., x^(m-1)) and the
+on the pairs (basis element, x) for the value at x alone) and the
 submodule of inner derivations, and oracle_weakly_separable compares
 them.  The two routes share no criterion-specific code, which is the
 point: they must agree.
@@ -181,10 +181,11 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
     so by induction on word length it holds on every word in S, and those
     span A.  Right B-linearity, delta(z b) = delta(z) b, is the rule with
     delta(b) = 0, so setting delta(x^i e_s) = delta(x^i) e_s makes the pairs
-    (z, e_t) hold by construction and leaves (z, x) as the only equations,
-    in the unknowns delta(x), .., delta(x^(m-1)).  Inner derivations are the
-    maps z -> vz - zv for v in the base centralizer (commutation with B
-    forces v there).
+    (z, e_t) hold by construction and leaves (z, x) as the only equations.
+    On (x^i, x) they say delta(x^(i+1)) = delta(x^i) x + x^i delta(x), so
+    they are solved for u = delta(x) alone, in dim unknowns.  Inner
+    derivations are the maps z -> vz - zv for v in the base centralizer
+    (commutation with B forces v there).
     """
     dim = a.dim
     module = _derivations(a)
@@ -207,42 +208,59 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
 
 def _derivations(a: QuotientRing) -> Submodule:
     """The B-derivations of A as row-major dim x dim matrices, column p
-    being delta(b_p).  With D_i = delta(x^i) and D_0 = 0, column p = i *
-    rank + s is D_i e_s = R(e_s) D_i, and delta(b_p x) = delta(b_p) x +
-    b_p D_1 for every p gives dim^2 equations in the dim (m - 1) unknowns
-    D_1 .. D_(m-1).  For m = 1, A = B and only the zero map is left.
+    being delta(b_p).  With u = delta(x), D_i = delta(x^i) has D_0 = 0 and
+    D_(i+1) = D_i x + x^i u, so D_i = M_i u with M_0 = 0, M_1 = I and
+    M_(i+1) = R(x) M_i + L(x^i).  Column p = i * rank + s is D_i e_s =
+    R(e_s) M_i u, and delta(b_p x) = delta(b_p) x + b_p u for every p gives
+    dim^2 equations in the dim unknowns u.  For m = 1 only 0 is left.
     """
     dim, m, rank, coeff = a.dim, a.m, a.base.rank, a.coeff
     if m == 1:
         return Submodule.zero(dim * dim, coeff)
-    alg, width = a.algebra, dim * (m - 1)
+    alg, xflat = a.algebra, a.x_elem().flat()
     by_e = [mul_map_rows(alg, right=a.embed(e).flat()) for e in a.base.basis()]
-    by_x = mul_map_rows(alg, right=a.x_elem().flat())
+    by_x = mul_map_rows(alg, right=xflat)
     # delta(b_p) x = R(x) R(e_s) D_i = R(e_s x) D_i, and e_s x is column s of R(x)
     x_by_e = [mul_map_rows(alg, right=[row[s] for row in by_x]) for s in range(rank)]
+    # on[i][s] = (R(e_s) M_i, R(e_s x) M_i), the matrices in u of D_i e_s and D_i e_s x
+    on, m_i = [None, list(zip(by_e, x_by_e))], None
+    for i in range(2, m):   # M_2 = R(x) + L(x), then M_i = R(x) M_(i-1) + L(x^(i-1))
+        m_i = [coeff.reduce_vec(row) for row in _times(by_x, m_i, mul_map_rows(
+            alg, left=a.x_power(i - 1).flat()))] if m_i else mul_map_rows(alg, xflat, xflat)
+        on.append([(_times(r, m_i), _times(rx, m_i)) for r, rx in zip(by_e, x_by_e)])
     rows = set()
     for p in range(dim):
-        # (i, rows of a dim x dim matrix M, c): the term c M D_i of the equations for b_p
-        terms = [(r // rank, by_e[r % rank], row[p])     # delta(b_p x), b_p x = sum c b_r
-                 for r, row in enumerate(by_x) if row[p]]
-        terms.append((p // rank, x_by_e[p % rank], -1))  # delta(b_p) x
-        terms.append((1, list(zip(*alg.structure[p])), -1))  # b_p D_1, L(b_p)[q][k] = c(p, k, q)
+        i, s = divmod(p, rank)
+        # (rows of a dim x dim matrix M, c): the term c M u of the equations for b_p
+        terms = [(on[r // rank][r % rank][0], row[p])      # delta(b_p x), b_p x = sum c b_r
+                 for r, row in enumerate(by_x) if row[p] and r >= rank]
+        if i:
+            terms.append((on[i][s][1], -1))                 # delta(b_p) x
+        terms.append((list(zip(*alg.structure[p])), -1))  # b_p u, L(b_p)[q][k] = c(p, k, q)
         for q in range(dim):
-            row = [0] * width
-            for i, mat, c in terms:
-                if i:
-                    off = (i - 1) * dim
-                    for k, v in enumerate(mat[q]):
-                        if v:
-                            row[off + k] += c * v
+            row = [0] * dim
+            for mat, c in terms:
+                for k, v in enumerate(mat[q]):
+                    if v:
+                        row[k] += c * v
             rows.add(coeff.reduce_vec(row))
-    rows.discard((0,) * width)
+    rows.discard((0,) * dim)
     gens = []
-    for v in kernel(Matrix(sorted(rows), coeff, cols=width)).basis:
-        cols = [[sum(e * w for e, w in zip(r, v[(i - 1) * dim:i * dim])) for r in by_e[s]]
-                if i else [0] * dim for i in range(m) for s in range(rank)]
+    for v in kernel(Matrix(sorted(rows), coeff, cols=dim)).basis:
+        cols = [[sum(e * w for e, w in zip(r, v)) for r in on[i][s][0]] if i else [0] * dim
+                for i in range(m) for s in range(rank)]
         gens.append([e for row in zip(*cols) for e in row])
     return hnf(gens, coeff, dim=dim * dim)
+
+
+def _times(left, right, start=()):
+    """The rows of start + left right, as unreduced sparse row combinations."""
+    out = list(start) or [[0] * len(right) for _ in left]
+    for q, lrow in enumerate(left):
+        for k, c in enumerate(lrow):
+            if c:
+                out[q] = [e + c * v for e, v in zip(out[q], right[k])]
+    return out
 
 
 def oracle_weakly_separable(a: QuotientRing) -> bool:

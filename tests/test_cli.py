@@ -136,6 +136,8 @@ def test_oracle_report(capsys):
     (TRIANGULAR, "triangular_oracle.txt"),
     # a rank-1 derivation module, all of it inner
     (SWAP, "swap_ring_oracle.txt"),
+    # X^20 + 1 over Z/2, rank 1 at the dimension cap: 20 derivations, none inner
+    (str(DATA / "x20_mod2.json"), "x20_mod2_oracle.txt"),
 ])
 def test_oracle_golden(problem, golden, capsys):
     assert main(["oracle", problem]) == 0

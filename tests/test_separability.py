@@ -240,15 +240,21 @@ def test_derivation_matrices_satisfy_leibniz():
 
 def test_generator_system_equals_the_all_pairs_system():
     # right B-linearity built in and Leibniz on the pairs (z, x) give the
-    # module that Leibniz on every pair of basis elements gives
+    # module that Leibniz on every pair of basis elements gives; rank-1
+    # quotients of degree 8 and 12 and a dimension-15 ut2-mod3 quotient are
+    # where the system in delta(x) alone is smallest against the all-pairs one
     quotients = (sample_quotients() + [build_quotient(r, f) for _, r, f in lemma_corpus()]
                  + [wide_c2_quotient()])
+    quotients += [classical_quotient(n, [1, linear] + [0] * (m - 2))     # X^m (+ X) + 1
+                  for n, m, linear in product((2, 3), (8, 12), (0, 1))]
+    ut2 = dict(sweep_rings())["ut2-mod3"]
+    quotients.append(build_quotient(ut2, next(iter(invariant_survivors(ut2, 5)))))
     for q in quotients:
         assert derivation_module(q).module == all_pairs_derivations(q), q
 
 
-def test_leibniz_system_solves_for_the_values_at_powers_of_x(monkeypatch):
-    # unknowns delta(x), delta(x^2): dim (m - 1) columns, at most dim^2 rows
+def test_leibniz_system_solves_for_the_value_at_x(monkeypatch):
+    # the one unknown delta(x): dim columns, at most dim^2 rows
     shapes = []
 
     def recording_kernel(mat):
@@ -262,7 +268,7 @@ def test_leibniz_system_solves_for_the_values_at_powers_of_x(monkeypatch):
     derivation_module(q)
     assert len(shapes) == 1
     rows, cols = shapes[0]
-    assert cols == 18 and rows <= 81
+    assert cols == 9 and rows <= 81
 
 
 def test_derivation_values_at_x_fill_the_trace_kernel():
