@@ -50,8 +50,8 @@ EXIT_INTERNAL = 4
 SWEEP_CENSUS_CAP = 100_000
 # sweep refuses a quotient dimension max_degree * rank above this before it
 # solves anything, and oracle refuses one before it builds the quotient:
-# the derivation system has dim^2 rows in dim * (degree - 1) unknowns, and
-# at dim 20 oracle takes about half a second.  Every command refuses a rank
+# the derivation system has dim^2 rows in dim unknowns, and at dim 20
+# oracle takes 0.10-0.16 s as a process.  Every command refuses a rank
 # above it, since every quotient has dimension at least rank
 SWEEP_MAX_DIM = 20
 # decide refuses a quotient dimension degree * rank above this before it

@@ -217,16 +217,17 @@ def _derivations(a: QuotientRing) -> Submodule:
     dim, m, rank, coeff = a.dim, a.m, a.base.rank, a.coeff
     if m == 1:
         return Submodule.zero(dim * dim, coeff)
-    alg, xflat = a.algebra, a.x_elem().flat()
+    alg, xflat, one = a.algebra, a.x_elem().flat(), a.one().flat()
     by_e = [mul_map_rows(alg, right=a.embed(e).flat()) for e in a.base.basis()]
     by_x = mul_map_rows(alg, right=xflat)
     # delta(b_p) x = R(x) R(e_s) D_i = R(e_s x) D_i, and e_s x is column s of R(x)
     x_by_e = [mul_map_rows(alg, right=[row[s] for row in by_x]) for s in range(rank)]
     # on[i][s] = (R(e_s) M_i, R(e_s x) M_i), the matrices in u of D_i e_s and D_i e_s x
     on, m_i = [None, list(zip(by_e, x_by_e))], None
-    for i in range(2, m):   # M_2 = R(x) + L(x), then M_i = R(x) M_(i-1) + L(x^(i-1))
-        m_i = [coeff.reduce_vec(row) for row in _times(by_x, m_i, mul_map_rows(
-            alg, left=a.x_power(i - 1).flat()))] if m_i else mul_map_rows(alg, xflat, xflat)
+    for i in range(2, m):   # M_i = R(x) M_(i-1) + L(x^(i-1)); x^j = x^j 1 is 1 moved up j blocks
+        x_j = (0,) * (i - 1) * rank + one[:dim - (i - 1) * rank]
+        m_i = [coeff.reduce_vec(row) for row in (
+            _times(by_x, m_i, mul_map_rows(alg, left=x_j)) if m_i else mul_map_rows(alg, x_j, x_j))]
         on.append([(_times(r, m_i), _times(rx, m_i)) for r, rx in zip(by_e, x_by_e)])
     rows = set()
     for p in range(dim):
