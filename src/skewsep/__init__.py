@@ -3,8 +3,7 @@
 from .linalg import CoeffRing, Matrix, Submodule, ZZ, hnf, solve, kernel, \
     sub_member, sub_contains, sub_equal, sub_intersect
 from .rings import BaseRing, RingElement, RingMap, centralizer, commutant, fixed_subring, \
-    left_mul_matrix, right_mul_matrix, validate_automorphism, validate_derivation, \
-    validate_ring
+    validate_automorphism, validate_derivation, validate_ring
 from .skew import InvariantFailure, SkewPoly, SkewPolyRing, \
     coeffs_central_in_fixed_subring, divmod_monic, horner_tails, invariant_count, \
     invariant_polynomials, is_invariant, is_invariant_direct, iter_invariant_polynomials
@@ -19,7 +18,7 @@ __all__ = [
     "hnf", "solve", "kernel",
     "sub_member", "sub_contains", "sub_equal", "sub_intersect",
     "BaseRing", "RingElement", "RingMap",
-    "centralizer", "commutant", "fixed_subring", "left_mul_matrix", "right_mul_matrix",
+    "centralizer", "commutant", "fixed_subring",
     "validate_ring", "validate_automorphism", "validate_derivation",
     "SkewPolyRing", "SkewPoly", "InvariantFailure",
     "is_invariant", "is_invariant_direct", "divmod_monic",

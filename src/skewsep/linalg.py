@@ -30,7 +30,6 @@ is one Hermite form of the rows (column j | e_j), with no solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -64,24 +63,8 @@ class CoeffRing:
     def reduce_vec(self, v) -> tuple[int, ...]:
         n = self.modulus
         if n:
-            return tuple(e % n for e in v)
-        return tuple(int(e) for e in v)
-
-    def is_unit(self, x: int) -> bool:
-        if self.modulus:
-            return gcd(x, self.modulus) == 1
-        return x in (1, -1)
-
-    def inverse(self, x: int) -> int:
-        """Multiplicative inverse of a unit."""
-        if self.modulus:
-            g, s, _ = _xgcd(x, self.modulus)
-            if g != 1:
-                raise ValueError(f"{x} is not a unit mod {self.modulus}")
-            return s % self.modulus
-        if x in (1, -1):
-            return x
-        raise ValueError(f"{x} is not a unit in ZZ")
+            return tuple([e % n for e in v])
+        return tuple([int(e) for e in v])
 
     def __str__(self) -> str:
         return f"ZZ/{self.modulus}" if self.modulus else "ZZ"
@@ -132,9 +115,6 @@ class Matrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def transpose(self) -> "Matrix":
-        return Matrix.from_columns(self.entries, self.coeff, rows=self.cols)
-
     def apply(self, vec) -> tuple[int, ...]:
         """Matrix times column vector."""
         if len(vec) != self.cols:
@@ -162,9 +142,6 @@ class Matrix:
         return Matrix(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
             self.coeff, cols=self.cols)
-
-    def scale(self, c: int) -> "Matrix":
-        return Matrix([[c * a for a in row] for row in self.entries], self.coeff, cols=self.cols)
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:

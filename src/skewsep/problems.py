@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .linalg import CoeffRing, Matrix
+from .linalg import CoeffRing
 from .rings import BaseRing, RingMap
 
 
@@ -113,8 +113,7 @@ def parse_problem(text: str) -> Problem:
 
     # rows are images of basis elements; internal matrices act on columns
     def as_map(key: str) -> RingMap:
-        rows = _expect_matrix(doc[key], rank, key)
-        return RingMap(base, Matrix(rows, coeff).transpose())
+        return RingMap.from_images(base, _expect_matrix(doc[key], rank, key))
 
     rho = as_map("rho")
     deriv = as_map("derivation")

@@ -25,7 +25,7 @@ separability downstream is a statement about its kernel.
 from __future__ import annotations
 
 from .linalg import Matrix, Submodule, hnf, kernel, sub_intersect
-from .rings import BaseRing, RingElement, RingMap, commutant, mul_map_rows
+from .rings import BaseRing, RingElement, RingMap, _times, commutant, mul_map_rows
 from .skew import SkewPoly, SkewPolyRing, divmod_monic, horner_tails, is_invariant
 
 
@@ -39,7 +39,7 @@ class ScopeError(ValueError):
 
 class QuotientRing:
     __slots__ = ("ring", "f", "m", "base", "coeff", "dim", "tails", "_x",
-                 "_algebra", "_x_powers", "_trace_matrix", "_twisted",
+                 "_algebra", "_trace_matrix", "_twisted",
                  "_center", "_trace_kernel", "_split")
 
     def __init__(self, ring: SkewPolyRing, f: SkewPoly):
@@ -54,7 +54,6 @@ class QuotientRing:
         self.tails = [self.reduce_poly(t) for t in horner_tails(f)]
         self._x = self.reduce_poly(ring.x())
         self._algebra: BaseRing | None = None
-        self._x_powers: list | None = None
         self._trace_matrix: Matrix | None = None
         self._twisted: dict[RingMap, Submodule] = {}
         self._center: Submodule | None = None
@@ -157,12 +156,11 @@ class QuotientRing:
         return SkewPoly(self.ring, list(a.coords))
 
     def x_power(self, j: int) -> "AElement":
-        if self._x_powers is None:
-            pows = [self.one()]
-            for _ in range(self.m):
-                pows.append(pows[-1] * self._x)
-            self._x_powers = pows
-        return self._x_powers[j]
+        """x^j for 0 <= j < m: the unit of B moved up j blocks, no product."""
+        if not 0 <= j < self.m:
+            raise ValueError(f"x_power needs 0 <= j < {self.m}")
+        r = self.base.rank
+        return AElement(self, (0,) * (j * r) + self.base.unit + (0,) * (self.dim - (j + 1) * r))
 
     # ------------------------------------------------------------ operators
 
@@ -178,24 +176,15 @@ class QuotientRing:
     def trace_matrix(self) -> Matrix:
         """The matrix of tr, T = sum_j R(x^j) L(t_j), read off the table.
 
-        For j < m, x^j is the unit of B placed in block j, so no power of x
-        is multiplied out; each product R(x^j) L(t_j) is accumulated
-        sparsely, row by row.
+        No power of x is multiplied out (see x_power), and each product
+        R(x^j) L(t_j) is accumulated sparsely, row by row.
         """
         if self._trace_matrix is None:
-            alg, dim, r = self.algebra, self.dim, self.base.rank
-            rows = [[0] * dim for _ in range(dim)]
+            alg, rows = self.algebra, ()
             for j, t in enumerate(self.tails):
-                xj = [0] * dim
-                xj[j * r:(j + 1) * r] = self.base.unit
-                left = mul_map_rows(alg, left=t.flat())
-                for row, rrow in zip(rows, mul_map_rows(alg, right=xj)):
-                    for k, c in enumerate(rrow):
-                        if c:
-                            for q, v in enumerate(left[k]):
-                                if v:
-                                    row[q] += c * v
-            self._trace_matrix = Matrix(rows, self.coeff, cols=dim)
+                rows = _times(mul_map_rows(alg, right=self.x_power(j).flat()),
+                              mul_map_rows(alg, left=t.flat()), rows)
+            self._trace_matrix = Matrix(rows, self.coeff, cols=self.dim)
         return self._trace_matrix
 
     def trace_kernel(self) -> Submodule:
@@ -207,12 +196,6 @@ class QuotientRing:
         """The matrix of z -> z x - x z, read off the table."""
         x = self._x.flat()
         return Matrix(mul_map_rows(self.algebra, [-e for e in x], x), self.coeff, cols=self.dim)
-
-    def x_commutator(self, z: "AElement") -> "AElement":
-        """z x - x z."""
-        if z.parent != self:
-            raise ValueError("element from a different quotient")
-        return self.from_flat(self._x_commutator_matrix().apply(z.flat()))
 
     def x_commutator_image(self, sub: Submodule) -> Submodule:
         """Image of the x-commutator restricted to a subgroup."""

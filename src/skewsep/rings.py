@@ -121,9 +121,6 @@ class RingElement:
         self._check(other)
         return RingElement(self.ring, self.ring.mul_coords(self.coords, other.coords))
 
-    def scale(self, c: int) -> "RingElement":
-        return RingElement(self.ring, tuple(c * a for a in self.coords))
-
     def is_zero(self) -> bool:
         return not any(self.coords)
 
@@ -226,12 +223,17 @@ def mul_map_rows(ring: BaseRing, left=(), right=()) -> list[list[int]]:
     return rows
 
 
-def left_mul_matrix(ring: BaseRing, elem: RingElement) -> Matrix:
-    return Matrix(mul_map_rows(ring, left=elem.coords), ring.coeff, cols=ring.rank)
-
-
-def right_mul_matrix(ring: BaseRing, elem: RingElement) -> Matrix:
-    return Matrix(mul_map_rows(ring, right=elem.coords), ring.coeff, cols=ring.rank)
+def _times(left, right, start=()):
+    """The rows of start + left right, unreduced, as new lists; zero entries
+    of left and of right are skipped."""
+    out = [list(row) for row in start] or [[0] * len(right) for _ in left]
+    for row, lrow in zip(out, left):
+        for k, c in enumerate(lrow):
+            if c:
+                for p, v in enumerate(right[k]):
+                    if v:
+                        row[p] += c * v
+    return out
 
 
 def validate_ring(ring: BaseRing) -> list[str]:
@@ -291,25 +293,14 @@ def validate_derivation(ring: BaseRing, deriv: RingMap, rho: RingMap) -> list[st
     return out
 
 
-def fixed_subring(ring: BaseRing, conditions) -> Submodule:
-    """Joint solution subgroup of (map, mode) conditions.
+def fixed_subring(ring: BaseRing, rho: RingMap, deriv: RingMap) -> Submodule:
+    """Elements x with rho(x) = x and deriv(x) = 0, as a coordinate subgroup.
 
-    mode "fixed-point" selects elements with map(x) = x, mode "kernel"
-    selects map(x) = 0.  The result is the coordinate subgroup; it is
-    closed under multiplication when the maps are an automorphism and a
-    matching twisted derivation.
+    It is a subring when rho is an automorphism and deriv a rho-twisted
+    derivation.
     """
-    rows = []
     ident = Matrix.identity(ring.rank, ring.coeff)
-    for mp, mode in conditions:
-        if mode == "fixed-point":
-            rows.extend(mp.matrix.sub(ident).entries)
-        elif mode == "kernel":
-            rows.extend(mp.matrix.entries)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    if not rows:
-        rows = Matrix.zeros(1, ring.rank, ring.coeff).entries
+    rows = rho.matrix.sub(ident).entries + deriv.matrix.entries
     return kernel(Matrix(rows, ring.coeff, cols=ring.rank))
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .linalg import Matrix, Submodule, hnf, kernel, solve, \
     sub_contains, sub_equal, sub_intersect, sub_member
 from .quotient import AElement, QuotientRing
-from .rings import commutant, mul_map_rows
+from .rings import _times, commutant, mul_map_rows
 
 
 class InternalInvariantError(RuntimeError):
@@ -217,15 +217,15 @@ def _derivations(a: QuotientRing) -> Submodule:
     dim, m, rank, coeff = a.dim, a.m, a.base.rank, a.coeff
     if m == 1:
         return Submodule.zero(dim * dim, coeff)
-    alg, xflat, one = a.algebra, a.x_elem().flat(), a.one().flat()
+    alg, xflat = a.algebra, a.x_elem().flat()
     by_e = [mul_map_rows(alg, right=a.embed(e).flat()) for e in a.base.basis()]
     by_x = mul_map_rows(alg, right=xflat)
     # delta(b_p) x = R(x) R(e_s) D_i = R(e_s x) D_i, and e_s x is column s of R(x)
     x_by_e = [mul_map_rows(alg, right=[row[s] for row in by_x]) for s in range(rank)]
     # on[i][s] = (R(e_s) M_i, R(e_s x) M_i), the matrices in u of D_i e_s and D_i e_s x
     on, m_i = [None, list(zip(by_e, x_by_e))], None
-    for i in range(2, m):   # M_i = R(x) M_(i-1) + L(x^(i-1)); x^j = x^j 1 is 1 moved up j blocks
-        x_j = (0,) * (i - 1) * rank + one[:dim - (i - 1) * rank]
+    for i in range(2, m):   # M_i = R(x) M_(i-1) + L(x^(i-1))
+        x_j = a.x_power(i - 1).flat()
         m_i = [coeff.reduce_vec(row) for row in (
             _times(by_x, m_i, mul_map_rows(alg, left=x_j)) if m_i else mul_map_rows(alg, x_j, x_j))]
         on.append([(_times(r, m_i), _times(rx, m_i)) for r, rx in zip(by_e, x_by_e)])
@@ -252,16 +252,6 @@ def _derivations(a: QuotientRing) -> Submodule:
                 for i in range(m) for s in range(rank)]
         gens.append([e for row in zip(*cols) for e in row])
     return hnf(gens, coeff, dim=dim * dim)
-
-
-def _times(left, right, start=()):
-    """The rows of start + left right, as unreduced sparse row combinations."""
-    out = list(start) or [[0] * len(right) for _ in left]
-    for q, lrow in enumerate(left):
-        for k, c in enumerate(lrow):
-            if c:
-                out[q] = [e + c * v for e, v in zip(out[q], right[k])]
-    return out
 
 
 def oracle_weakly_separable(a: QuotientRing) -> bool:

@@ -87,11 +87,6 @@ class SkewPolyRing:
             self._cmaps[(i, j)] = got
         return got
 
-    def commute_scalar(self, alpha: RingElement, i: int) -> "SkewPoly":
-        """Right-coefficient form of alpha * X^i."""
-        return SkewPoly(self, [self.commutation_map(i, j).apply(alpha)
-                               for j in range(i + 1)])
-
     # ------------------------------------------------------- constructors
 
     def poly(self, coeffs) -> "SkewPoly":
@@ -410,9 +405,7 @@ def coeffs_central_in_fixed_subring(f: SkewPoly) -> bool:
     for c in f.coeffs:
         if ring.rho.apply(c) != c:
             raise ValueError("polynomial has coefficients moved by the automorphism")
-    fixed = fixed_subring(ring.base, [(ring.rho, "fixed-point"),
-                                      (ring.deriv, "kernel")])
-    cent = centralizer(ring.base, fixed)
+    cent = centralizer(ring.base, fixed_subring(ring.base, ring.rho, ring.deriv))
     return all(sub_member(cent, c.coords) for c in f.coeffs)
 
 

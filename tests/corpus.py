@@ -86,6 +86,23 @@ def classical_skew_ring(n: int) -> SkewPolyRing:
     return SkewPolyRing(base, RingMap.identity(base), RingMap.zero(base))
 
 
+def classical_quotient(n: int, coeffs):
+    """Z/n[X] modulo the monic f with the given lower coefficients."""
+    r = classical_skew_ring(n)
+    return build_quotient(r, r.poly([[c] for c in coeffs] + [[1]]))
+
+
+def swap_ring(n: int = 2) -> SkewPolyRing:
+    """(Z/n)^2 with the swap twist and the derivation x - swap(x)."""
+    base = product_ring(n)
+    return SkewPolyRing(base, swap_map(base), swap_derivation(base))
+
+
+def commute_scalar(ring: SkewPolyRing, alpha, i: int):
+    """alpha * X^i in right-coefficient form, read off the commutation maps."""
+    return ring.poly([ring.commutation_map(i, j).apply(alpha) for j in range(i + 1)])
+
+
 def sweep_rings() -> list[tuple[str, SkewPolyRing]]:
     """The fixed (coefficient ring, twist, derivation) corpus for sweeps."""
     prod = product_ring(2)
@@ -96,7 +113,7 @@ def sweep_rings() -> list[tuple[str, SkewPolyRing]]:
         ("zmod3", classical_skew_ring(3)),
         ("zmod4", classical_skew_ring(4)),
         ("prod22", SkewPolyRing(prod, RingMap.identity(prod), RingMap.zero(prod))),
-        ("prod22-swap", SkewPolyRing(prod, swap_map(prod), swap_derivation(prod))),
+        ("prod22-swap", swap_ring()),
         ("ut2-mod2", SkewPolyRing(ut2_2, RingMap.identity(ut2_2),
                                   ut2_inner_derivation(ut2_2))),
         ("ut2-mod3", SkewPolyRing(ut2_3, RingMap.identity(ut2_3),
@@ -114,6 +131,13 @@ def golden_ring() -> SkewPolyRing:
     """Integer upper triangular 2x2 matrices, identity twist, D = ad(e11)."""
     base = upper_triangular2(0)
     return SkewPolyRing(base, RingMap.identity(base), ut2_inner_derivation(base))
+
+
+def triangular_quotient():
+    """The golden example: f = X^2 + X a + a with a = diag(3, 1)."""
+    r = golden_ring()
+    a = r.base.element((3, 0, 1))
+    return build_quotient(r, r.poly([a, a, r.base.one()]))
 
 
 @cache

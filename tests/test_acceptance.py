@@ -11,7 +11,6 @@ from itertools import product
 
 from skewsep.linalg import ZZ, hnf, kernel, sub_contains, sub_equal, sub_intersect
 from skewsep.quotient import build_quotient
-from skewsep.rings import left_mul_matrix, right_mul_matrix
 from skewsep.separability import (
     InternalInvariantError, derivation_from_value, derivation_module,
     inner_derivation_matrix, is_separable, is_weakly_separable,
@@ -22,8 +21,8 @@ from skewsep.skew import (
     is_invariant, is_invariant_direct,
 )
 from corpus import (
-    classical_skew_ring, golden_ring, invariant_survivors, lemma_corpus,
-    polygcd_is_one, reference_product, sweep_rings, wide_c2_quotient,
+    classical_skew_ring, commute_scalar, golden_ring, invariant_survivors, lemma_corpus,
+    polygcd_is_one, product_mul_matrices, reference_product, sweep_rings, wide_c2_quotient,
 )
 
 
@@ -138,7 +137,7 @@ def test_criterion_4_lemma_invariant_suite():
         for alpha in ring.base.basis():
             power = ring.one()
             for i in range(7):
-                check(ring.commute_scalar(alpha, i) == ring.const(alpha) * power,
+                check(commute_scalar(ring, alpha, i) == ring.const(alpha) * power,
                       label, f"commutation expansion at degree {i}")
                 power = power * x
 
@@ -180,8 +179,8 @@ def test_criterion_4_lemma_invariant_suite():
         check(sub_contains(s1, q.x_commutator_image(v_sub)), tag,
               "commutator image escapes the twist-1 trace kernel")
         # kernel of the x-commutator on V is exactly the center
-        x = q.algebra.element(q.x_elem().flat())
-        ad_x = right_mul_matrix(q.algebra, x).sub(left_mul_matrix(q.algebra, x))
+        left_x, right_x = product_mul_matrices(q.algebra, q.x_elem().flat(), q.x_elem().flat())
+        ad_x = right_x.sub(left_x)
         check(sub_equal(sub_intersect(v_sub, kernel(ad_x)), q.center()), tag,
               "Ker(I_x|V) != C(A)")
         # coefficient location: central inside the joint fixed subring
@@ -248,7 +247,7 @@ def test_criterion_5_derivation_round_trip():
                 break
         for vrow in q.base_centralizer().basis:
             velt = q.from_flat(vrow)
-            u = q.x_commutator(velt)
+            u = velt * q.x_elem() - q.x_elem() * velt
             if derivation_from_value(q, u) != inner_derivation_matrix(q, velt):
                 problems.append(f"{tag}: inner seed does not rebuild ad_v")
     _finish(5, "derivation round trip", t0, 10.0, problems, f"{seeds} seeds")

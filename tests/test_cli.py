@@ -16,13 +16,8 @@ from hypothesis import event, example, given, settings, strategies as st
 from skewsep import cli, separability
 from skewsep.cli import main
 from skewsep.quotient import build_quotient
-from skewsep.rings import RingMap
 from skewsep.separability import is_weakly_separable
-from skewsep.skew import SkewPolyRing
-from corpus import (
-    product_ring, swap_derivation, swap_map, upper_triangular2,
-    ut2_inner_derivation,
-)
+from corpus import swap_ring, triangular_quotient
 
 DATA = Path(__file__).parent / "data"
 TRIANGULAR = str(DATA / "triangular.json")
@@ -45,13 +40,6 @@ def _x_power_plus_one(tmp_path, m):
     return write_problem(tmp_path, coeff_modulus=2, rank=1, basis_names=None, unit=[1],
                          structure_constants=[[[1]]], rho=[[1]], derivation=[[0]],
                          poly=[[1]] + [[0]] * (m - 1) + [[1]])
-
-
-def triangular_quotient():
-    base = upper_triangular2(0)
-    ring = SkewPolyRing(base, RingMap.identity(base), ut2_inner_derivation(base))
-    a = base.element((3, 0, 1))
-    return build_quotient(ring, ring.poly([a, a, base.one()]))
 
 
 # ----------------------------------------------------------------- reports
@@ -236,11 +224,10 @@ def test_sweep_census_matches_library(capsys):
         [[1, 1], [1, 1], [1, 1], [1, 1]],
     ]
 
-    base = product_ring(2)
-    ring = SkewPolyRing(base, swap_map(base), swap_derivation(base))
+    ring = swap_ring()
     seen = set()
     for inst in doc["instances"]:
-        f = ring.poly([base.element(vec) for vec in inst["poly"]])
+        f = ring.poly(inst["poly"])
         v = is_weakly_separable(build_quotient(ring, f))
         assert inst["separable"] == v.separable
         assert inst["weakly_separable"] == v.weakly_separable

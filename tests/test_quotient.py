@@ -8,46 +8,19 @@ import pytest
 import skewsep
 from skewsep.linalg import Matrix, hnf, kernel, sub_contains, sub_equal, sub_member
 from skewsep.quotient import QuotientRing, ScopeError, build_quotient
-from skewsep.rings import RingMap, left_mul_matrix, right_mul_matrix
-from skewsep.skew import SkewPolyRing
+from skewsep.rings import mul_map_rows
 from corpus import (
-    golden_ring, group_algebra_c2, invariant_survivors, lemma_corpus, product_mul_matrices,
-    product_ring, reference_product, reference_trace_matrix, swap_derivation, swap_map,
-    sweep_rings, upper_triangular2, ut2_inner_derivation, wide_c2_quotient, zmod_ring,
-    zz_ring,
+    classical_quotient, classical_skew_ring, golden_ring, group_algebra_c2,
+    invariant_survivors, lemma_corpus, product_mul_matrices, product_ring, reference_product,
+    reference_trace_matrix, swap_ring, sweep_rings, triangular_quotient, upper_triangular2,
+    wide_c2_quotient, zmod_ring, zz_ring,
 )
-
-
-def triangular_ring():
-    base = upper_triangular2(0)
-    return SkewPolyRing(base, RingMap.identity(base), ut2_inner_derivation(base))
-
-
-def triangular_quotient():
-    r = triangular_ring()
-    a = r.base.element((3, 0, 1))
-    return build_quotient(r, r.poly([a, a, r.base.one()]))
-
-
-def classical_ring(n):
-    base = zmod_ring(n)
-    return SkewPolyRing(base, RingMap.identity(base), RingMap.zero(base))
-
-
-def classical_quotient(n, coeffs):
-    r = classical_ring(n)
-    return build_quotient(r, r.poly([[c] for c in coeffs] + [[1]]))
-
-
-def swap_ring():
-    base = product_ring(2)
-    return SkewPolyRing(base, swap_map(base), swap_derivation(base))
 
 
 # ------------------------------------------------------------ construction
 
 def test_build_rejects_bad_polynomials():
-    r = triangular_ring()
+    r = golden_ring()
     with pytest.raises(ValueError):
         build_quotient(r, r.poly([r.base.one(), r.base.element((2, 0, 2))]))
     with pytest.raises(ValueError):
@@ -62,7 +35,7 @@ def test_build_rejects_moved_coefficients():
 
 
 def test_build_rejects_non_invariant_with_certificate():
-    r = triangular_ring()
+    r = golden_ring()
     f = r.poly([r.base.zero(), r.base.basis_element(1), r.base.one()])
     with pytest.raises(ScopeError, match="two-sided ideal") as exc:
         build_quotient(r, f)
@@ -83,10 +56,15 @@ def test_build_accepts_twisted_instance():
 def test_power_rule_triangular():
     q = triangular_quotient()
     a = q.base.element((3, 0, 1))
-    assert q.x_power(2) == q.element([-a, -a])
-    # x^2 + x a + a = 0 in A
     x = q.x_elem()
+    assert x * x == q.element([-a, -a])
+    # x^2 + x a + a = 0 in A
     assert (x * x + x * q.embed(a) + q.embed(a)).is_zero()
+    # x_power reads x^j off the unit for j < m only
+    assert q.x_power(1) == x
+    for j in (-1, 2):
+        with pytest.raises(ValueError):
+            q.x_power(j)
 
 
 def test_degree_one_quotient_collapses_to_constant():
@@ -98,7 +76,7 @@ def test_field_extension_multiplication():
     q = classical_quotient(2, [1, 1])   # X^2 + X + 1
     x = q.x_elem()
     assert x * x == q.element([[1], [1]])
-    sq = build_quotient(classical_ring(2), classical_ring(2).poly([[1], [0], [1]]))
+    sq = build_quotient(classical_skew_ring(2), classical_skew_ring(2).poly([[1], [0], [1]]))
     y = sq.x_elem() + sq.one()          # (x + 1)^2 = 0 for f = (X+1)^2
     assert (y * y).is_zero()
 
@@ -142,9 +120,10 @@ def test_mul_matrices_match_products():
         for _ in range(10):
             a = q.from_flat([rng.randint(-4, 4) for _ in range(q.dim)])
             u = q.from_flat([rng.randint(-4, 4) for _ in range(q.dim)])
-            elem = q.algebra.element(a.flat())
-            assert left_mul_matrix(q.algebra, elem).apply(u.flat()) == (a * u).flat()
-            assert right_mul_matrix(q.algebra, elem).apply(u.flat()) == (u * a).flat()
+            left = Matrix(mul_map_rows(q.algebra, left=a.flat()), q.coeff, cols=q.dim)
+            right = Matrix(mul_map_rows(q.algebra, right=a.flat()), q.coeff, cols=q.dim)
+            assert left.apply(u.flat()) == (a * u).flat()
+            assert right.apply(u.flat()) == (u * a).flat()
 
 
 def test_built_quotient_needs_no_polynomial_arithmetic(monkeypatch):
@@ -245,8 +224,8 @@ def test_mul_matrices_read_off_the_table(monkeypatch):
     monkeypatch.setattr(skewsep.rings.BaseRing, "mul_coords", forbidden)
     for ring, pairs, refs, comm in cases:
         for (a, b), (left, right) in zip(pairs, refs):
-            assert left_mul_matrix(ring, ring.element(a)) == left
-            assert right_mul_matrix(ring, ring.element(b)) == right
+            assert Matrix(mul_map_rows(ring, left=a), ring.coeff, cols=ring.rank) == left
+            assert Matrix(mul_map_rows(ring, right=b), ring.coeff, cols=ring.rank) == right
         assert skewsep.commutant(ring, pairs) == comm
     for q, v, ad in inner:
         assert skewsep.inner_derivation_matrix(q, v) == ad
@@ -257,7 +236,7 @@ def test_coefficients_commute_with_x():
     # so they commute with x in the quotient
     for q in [triangular_quotient(), classical_quotient(6, [3, 2, 1]),
               build_quotient(swap_ring(), swap_ring().poly([(1, 1)]) + swap_ring().x())]:
-        x = q.x_power(1)
+        x = q.x_elem()
         for c in q.f.coeffs:
             assert q.embed(c) * x == x * q.embed(c)
 
@@ -307,17 +286,19 @@ def test_tail_recurrences_in_quotient():
     rng = random.Random(90)
     for q in [triangular_quotient(), classical_quotient(6, [5, 4, 3]),
               classical_quotient(4, [2, 0, 1, 1])]:
-        x = q.x_power(1)
+        x = q.x_elem()
         tails = q.tails
         m = q.m
         assert tails[m - 1] == q.one()
         for j in range(1, m):
             assert x * tails[j] == tails[j - 1] - q.embed(q.f.coefficient(j))
         assert x * tails[0] == -q.embed(q.f.coefficient(0))
-        # trace of 1: sum_j t_j x^j
-        want = q.zero()
+        # trace of 1: sum_j t_j x^j, with x_power checked against products
+        want, power = q.zero(), q.one()
         for j in range(m):
-            want = want + tails[j] * q.x_power(j)
+            assert q.x_power(j) == power
+            want = want + tails[j] * power
+            power = power * x
         assert q.trace(q.one()) == want
 
 
@@ -394,12 +375,18 @@ def test_center_members_commute():
 def test_x_commutator_is_derivation_on_scalars():
     q = triangular_quotient()
     rng = random.Random(33)
-    d = q.ring.deriv
+    d, x = q.ring.deriv, q.x_elem()
+
+    def span(z):
+        return hnf([z.flat()], q.coeff, dim=q.dim)
+
     for _ in range(10):
         alpha = q.base.element([rng.randint(-5, 5) for _ in range(3)])
+        z = q.embed(alpha)
         # alpha x - x alpha = D(alpha) when the twist is trivial
-        assert q.x_commutator(q.embed(alpha)) == q.embed(d.apply(alpha))
-    assert q.x_commutator(q.x_elem()).is_zero()
+        assert z * x - x * z == q.embed(d.apply(alpha))
+        assert sub_equal(q.x_commutator_image(span(z)), span(z * x - x * z))
+    assert q.x_commutator_image(span(x)).is_zero()
 
 
 def test_x_commutator_matrix_and_image():
@@ -412,9 +399,10 @@ def test_x_commutator_matrix_and_image():
     assert sub_contains(full_img, img)
     # and the image over the whole algebra holds every commutator
     rng = random.Random(66)
+    x = q.x_elem()
     for _ in range(10):
         u = q.from_flat([rng.randint(-4, 4) for _ in range(q.dim)])
-        assert sub_member(full_img, q.x_commutator(u).flat())
+        assert sub_member(full_img, (u * x - x * u).flat())
     assert not full_img.is_zero()
 
 

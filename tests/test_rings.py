@@ -2,13 +2,11 @@
 
 import random
 
-import pytest
-
 from skewsep import rings
 from skewsep.linalg import CoeffRing, Matrix, ZZ, hnf, matrix_inverse, sub_equal, sub_member
 from skewsep.rings import (
     BaseRing, RingMap,
-    centralizer, fixed_subring, left_mul_matrix, right_mul_matrix,
+    centralizer, fixed_subring, mul_map_rows,
     validate_automorphism, validate_derivation, validate_ring,
 )
 from skewsep.skew import SkewPolyRing
@@ -175,48 +173,49 @@ def test_rho_power_inverts_the_twist_once(monkeypatch):
 
 def test_fixed_subring_examples():
     ring = upper_triangular2(0)
-    ident = RingMap.identity(ring)
-    full = fixed_subring(ring, [(ident, "fixed-point")])
+    ident, zero = RingMap.identity(ring), RingMap.zero(ring)
+    full = fixed_subring(ring, ident, zero)
     assert full.rank == 3
-    diag = fixed_subring(ring, [(ut2_inner_derivation(ring), "kernel")])
+    diag = fixed_subring(ring, ident, ut2_inner_derivation(ring))
     assert diag.basis == ((1, 0, 0), (0, 0, 1))
-    both = fixed_subring(ring, [(ident, "fixed-point"),
-                                (ut2_inner_derivation(ring), "kernel")])
-    assert sub_equal(both, diag)
-    with pytest.raises(ValueError):
-        fixed_subring(ring, [(ident, "stabilize")])
+    # conjugation by [[1, 1], [0, 1]] fixes the scalars and e12 only
+    conj = fixed_subring(ring, ut2_conjugation(ring), zero)
+    assert sub_equal(conj, hnf([(1, 0, 1), (0, 1, 0)], ring.coeff, dim=3))
 
 
 def test_fixed_subring_swap():
     ring = product_ring(2)
-    fixed = fixed_subring(ring, [(swap_map(ring), "fixed-point")])
-    assert fixed.basis == ((1, 1),)
+    for deriv in (RingMap.zero(ring), swap_derivation(ring)):
+        assert fixed_subring(ring, swap_map(ring), deriv).basis == ((1, 1),)
 
 
 def test_fixed_subring_closed_under_multiplication():
     rng = random.Random(23)
-    for ring, mp, mode in [
-        (upper_triangular2(4), ut2_inner_derivation(upper_triangular2(4)), "kernel"),
-        (product_ring(4), swap_map(product_ring(4)), "fixed-point"),
-        (upper_triangular2(0), ut2_conjugation(upper_triangular2(0)), "fixed-point"),
+    for ring, rho, deriv in [
+        (upper_triangular2(4), RingMap.identity(upper_triangular2(4)),
+         ut2_inner_derivation(upper_triangular2(4))),
+        (product_ring(4), swap_map(product_ring(4)), RingMap.zero(product_ring(4))),
+        (upper_triangular2(0), ut2_conjugation(upper_triangular2(0)),
+         RingMap.zero(upper_triangular2(0))),
     ]:
-        sub = fixed_subring(ring, [(mp, mode)])
+        sub = fixed_subring(ring, rho, deriv)
         for _ in range(25):
             a = ring.zero()
             b = ring.zero()
             for row in sub.basis:
-                a = a + ring.element(row).scale(rng.randint(-3, 3))
-                b = b + ring.element(row).scale(rng.randint(-3, 3))
+                ca, cb = rng.randint(-3, 3), rng.randint(-3, 3)
+                a = a + ring.element([ca * e for e in row])
+                b = b + ring.element([cb * e for e in row])
             assert sub_member(sub, (a * b).coords)
 
 
 def test_centralizer_examples():
     comm = group_algebra_c2()
-    full = fixed_subring(comm, [(RingMap.identity(comm), "fixed-point")])
+    full = fixed_subring(comm, RingMap.identity(comm), RingMap.zero(comm))
     assert sub_equal(centralizer(comm, full), full)
 
     ring = upper_triangular2(0)
-    everything = fixed_subring(ring, [(RingMap.identity(ring), "fixed-point")])
+    everything = fixed_subring(ring, RingMap.identity(ring), RingMap.zero(ring))
     scalars = centralizer(ring, everything)
     assert scalars.basis == ((1, 0, 1),)
 
@@ -226,7 +225,7 @@ def test_centralizer_examples():
 
 def test_centralizer_members_really_commute():
     ring = upper_triangular2(6)
-    diag = fixed_subring(ring, [(ut2_inner_derivation(ring), "kernel")])
+    diag = fixed_subring(ring, RingMap.identity(ring), ut2_inner_derivation(ring))
     cent = centralizer(ring, diag)
     # diagonal matrices commute with each other
     assert sub_equal(cent, diag)
@@ -240,11 +239,13 @@ def test_centralizer_members_really_commute():
 def test_left_right_mul_matrices():
     ring = upper_triangular2(0)
     e12 = ring.basis_element(1)
+    left = Matrix(mul_map_rows(ring, left=e12.coords), ring.coeff, cols=3)
+    right = Matrix(mul_map_rows(ring, right=e12.coords), ring.coeff, cols=3)
     rng = random.Random(3)
     for _ in range(20):
         a = ring.element([rng.randint(-5, 5) for _ in range(3)])
-        assert ring.element(left_mul_matrix(ring, e12).apply(a.coords)) == e12 * a
-        assert ring.element(right_mul_matrix(ring, e12).apply(a.coords)) == a * e12
+        assert ring.element(left.apply(a.coords)) == e12 * a
+        assert ring.element(right.apply(a.coords)) == a * e12
 
 
 def test_element_str_uses_names():
