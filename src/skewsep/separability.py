@@ -10,8 +10,8 @@ linear-algebra problem in the flat coordinates of A.
 
 The oracle route: weak separability literally says every B-linear
 derivation of A is an inner one, so derivation_module computes the full
-module of B-derivations (as vectorized matrices, solving the Leibniz rule
-on the pairs (basis element, x) for the value at x alone) and the
+module of B-derivations (as vectorized matrices, solving for the value
+u at x from the two conditions e_s u = u rho(e_s) and delta(f) = 0) and the
 submodule of inner derivations, and oracle_weakly_separable compares
 them.  The two routes share no criterion-specific code, which is the
 point: they must agree.
@@ -181,9 +181,8 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
     so by induction on word length it holds on every word in S, and those
     span A.  Right B-linearity, delta(z b) = delta(z) b, is the rule with
     delta(b) = 0, so setting delta(x^i e_s) = delta(x^i) e_s makes the pairs
-    (z, e_t) hold by construction and leaves (z, x) as the only equations.
-    On (x^i, x) they say delta(x^(i+1)) = delta(x^i) x + x^i delta(x), so
-    they are solved for u = delta(x) alone, in dim unknowns.  Inner
+    (z, e_t) hold by construction and leaves (z, x) as the only equations;
+    _derivations reduces them to two conditions on u = delta(x).  Inner
     derivations are the maps z -> vz - zv for v in the base centralizer
     (commutation with B forces v there).
     """
@@ -208,48 +207,44 @@ def derivation_module(a: QuotientRing) -> DerivationModule:
 
 def _derivations(a: QuotientRing) -> Submodule:
     """The B-derivations of A as row-major dim x dim matrices, column p
-    being delta(b_p).  With u = delta(x), D_i = delta(x^i) has D_0 = 0 and
-    D_(i+1) = D_i x + x^i u, so D_i = M_i u with M_0 = 0, M_1 = I and
-    M_(i+1) = R(x) M_i + L(x^i).  Column p = i * rank + s is D_i e_s =
-    R(e_s) M_i u, and delta(b_p x) = delta(b_p) x + b_p u for every p gives
-    dim^2 equations in the dim unknowns u.  For m = 1 only 0 is left.
+    being delta(b_p).  With u = delta(x), the rule on (x^i, x) gives
+    D_i = delta(x^i) = M_i u with M_1 = I and M_(i+1) = R(x) M_i + L(x^i),
+    and column p = i * rank + s is D_i e_s = R(e_s) M_i u.  The rest of the
+    rule on (z, x) is (rank + 1) * dim rows in the dim unknowns u:
+    e_s u = u rho(e_s) for each s, and E u = 0 with
+    E = M_m + sum_(l >= 1) R(a_l) M_l, f = x^m + sum_l x^l a_l, which says
+    delta(f) = 0.
+
+    Take z = x^i b, b in B, and write b x = x rho(b) + D(b).  In A,
+    x^m = -sum_(l < m) x^l a_l, so delta(x^m c) = (D_m - E u) c for c in B;
+    with D_(i+1) - D_i x = x^i u, delta(z x) - delta(z) x - z u is
+    x^i (u rho(b) - b u) for i < m - 1 and
+    -(E u) rho(b) + x^(m-1) (u rho(b) - b u) for i = m - 1.  For m > 1 the
+    pairs with i = 0 are the conditions e_s u = u rho(e_s), and then the last
+    block is (E u) rho(e_s) = 0 for all s, which is E u = 0 as 1 = rho(1)
+    lies in the span of the rho(e_s).  For m = 1, E = I and u = 0 is forced.
     """
-    dim, m, rank, coeff = a.dim, a.m, a.base.rank, a.coeff
-    if m == 1:
-        return Submodule.zero(dim * dim, coeff)
-    alg, xflat = a.algebra, a.x_elem().flat()
-    by_e = [mul_map_rows(alg, right=a.embed(e).flat()) for e in a.base.basis()]
-    by_x = mul_map_rows(alg, right=xflat)
-    # delta(b_p) x = R(x) R(e_s) D_i = R(e_s x) D_i, and e_s x is column s of R(x)
-    x_by_e = [mul_map_rows(alg, right=[row[s] for row in by_x]) for s in range(rank)]
-    # on[i][s] = (R(e_s) M_i, R(e_s x) M_i), the matrices in u of D_i e_s and D_i e_s x
-    on, m_i = [None, list(zip(by_e, x_by_e))], None
-    for i in range(2, m):   # M_i = R(x) M_(i-1) + L(x^(i-1))
-        x_j = a.x_power(i - 1).flat()
-        m_i = [coeff.reduce_vec(row) for row in (
-            _times(by_x, m_i, mul_map_rows(alg, left=x_j)) if m_i else mul_map_rows(alg, x_j, x_j))]
-        on.append([(_times(r, m_i), _times(rx, m_i)) for r, rx in zip(by_e, x_by_e)])
-    rows = set()
-    for p in range(dim):
-        i, s = divmod(p, rank)
-        # (rows of a dim x dim matrix M, c): the term c M u of the equations for b_p
-        terms = [(on[r // rank][r % rank][0], row[p])      # delta(b_p x), b_p x = sum c b_r
-                 for r, row in enumerate(by_x) if row[p] and r >= rank]
-        if i:
-            terms.append((on[i][s][1], -1))                 # delta(b_p) x
-        terms.append((list(zip(*alg.structure[p])), -1))  # b_p u, L(b_p)[q][k] = c(p, k, q)
-        for q in range(dim):
-            row = [0] * dim
-            for mat, c in terms:
-                for k, v in enumerate(mat[q]):
-                    if v:
-                        row[k] += c * v
-            rows.add(coeff.reduce_vec(row))
-    rows.discard((0,) * dim)
+    dim, m, coeff = a.dim, a.m, a.coeff
+    alg, basis = a.algebra, a.base.basis()
+    by_e = [mul_map_rows(alg, right=a.embed(e).flat()) for e in basis]
+    by_x = mul_map_rows(alg, right=a.x_elem().flat())
+    # on[i][s] = R(e_s) M_i, the matrix in u of D_i e_s
+    on, m_i = [None], [[int(p == q) for q in range(dim)] for p in range(dim)]
+    for i in range(1, m):
+        on.append([_times(r, m_i) for r in by_e])
+        m_i = [coeff.reduce_vec(row) for row in     # M_(i+1) = R(x) M_i + L(x^i)
+               _times(by_x, m_i, mul_map_rows(alg, left=a.x_power(i).flat()))]
+    e_rows = m_i    # E, with R(a_l) = sum_s (a_l)_s R(e_s)
+    for l in range(1, m):
+        for c, mat in zip(a.f.coefficient(l).coords, on[l]):
+            if c:
+                e_rows = [[e + c * v for e, v in zip(er, r)] for er, r in zip(e_rows, mat)]
+    rows = [row for e in basis for row in mul_map_rows(     # L(e_s) - R(rho(e_s))
+        alg, a.embed(e).flat(), [-v for v in a.embed(a.ring.rho.apply(e)).flat()])]
     gens = []
-    for v in kernel(Matrix(sorted(rows), coeff, cols=dim)).basis:
-        cols = [[sum(e * w for e, w in zip(r, v)) for r in on[i][s][0]] if i else [0] * dim
-                for i in range(m) for s in range(rank)]
+    for v in kernel(Matrix(rows + e_rows, coeff, cols=dim)).basis:
+        cols = [[sum(e * w for e, w in zip(r, v)) for r in on[i][s]] if i else [0] * dim
+                for i in range(m) for s in range(len(basis))]
         gens.append([e for row in zip(*cols) for e in row])
     return hnf(gens, coeff, dim=dim * dim)
 

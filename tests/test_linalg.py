@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from skewsep.linalg import (
-    ZZ, CoeffRing, Matrix, Submodule,
+    ZZ, CoeffRing, Matrix,
     hnf, kernel, matrix_inverse, solve,
     sub_contains, sub_equal, sub_intersect, sub_member,
     _hnf_rows,

@@ -54,5 +54,6 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted((ROOT / "tests").glob("*.py"))
     assert modules
     assert [hit for p in modules for hit in _unused_imports(p)] == []

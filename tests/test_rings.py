@@ -3,7 +3,7 @@
 import random
 
 from skewsep import rings
-from skewsep.linalg import CoeffRing, Matrix, ZZ, hnf, matrix_inverse, sub_equal, sub_member
+from skewsep.linalg import Matrix, ZZ, hnf, matrix_inverse, sub_equal, sub_member
 from skewsep.rings import (
     BaseRing, RingMap,
     centralizer, fixed_subring, mul_map_rows,

@@ -5,9 +5,11 @@ from itertools import product
 
 import pytest
 
+import skewsep.quotient
+import skewsep.rings
 import skewsep.separability
 from skewsep.linalg import hnf, kernel, sub_contains, sub_equal, sub_member
-from skewsep.quotient import build_quotient
+from skewsep.quotient import QuotientRing, build_quotient
 from skewsep.separability import (
     InternalInvariantError, derivation_from_value, derivation_module,
     exactness_report, inner_derivation_matrix, is_separable,
@@ -219,14 +221,18 @@ def test_generator_system_equals_the_all_pairs_system():
                  + [wide_c2_quotient()])
     quotients += [classical_quotient(n, [1, linear] + [0] * (m - 2))     # X^m (+ X) + 1
                   for n, m, linear in product((2, 3), (8, 12), (0, 1))]
-    ut2 = dict(sweep_rings())["ut2-mod3"]
+    rings = dict(sweep_rings())
+    ut2, swap = rings["ut2-mod3"], rings["prod22-swap"]
     quotients.append(build_quotient(ut2, next(iter(invariant_survivors(ut2, 5)))))
+    # a twist and a derivation at m >= 4, where the middle blocks and the last are all there
+    quotients += [build_quotient(swap, f) for m in (4, 5) for f in invariant_survivors(swap, m)]
     for q in quotients:
         assert derivation_module(q).module == all_pairs_derivations(q), q
 
 
 def test_leibniz_system_solves_for_the_value_at_x(monkeypatch):
-    # the one unknown delta(x): dim columns, at most dim^2 rows
+    # the one unknown delta(x): dim columns, and (rank + 1) * dim rows, the
+    # commutation with each e_s and delta(f) = 0
     shapes = []
 
     def recording_kernel(mat):
@@ -240,7 +246,20 @@ def test_leibniz_system_solves_for_the_value_at_x(monkeypatch):
     derivation_module(q)
     assert len(shapes) == 1
     rows, cols = shapes[0]
-    assert cols == 9 and rows <= 81
+    assert (rows, cols) == (36, 9)
+
+
+def test_derivation_oracle_shares_no_code_with_the_criterion(monkeypatch):
+    # the oracle reads only the table; none of the criterion's subgroups
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called into the criterion route")
+
+    for name in ("twisted_centralizer", "trace", "trace_matrix", "trace_kernel"):
+        monkeypatch.setattr(QuotientRing, name, refuse)
+    for module in (skewsep.rings, skewsep.quotient, skewsep.separability):
+        monkeypatch.setattr(module, "commutant", refuse)
+    for q in sample_quotients():
+        assert skewsep.separability._derivations(q) == all_pairs_derivations(q), q
 
 
 def test_derivation_values_at_x_fill_the_trace_kernel():
