@@ -50,9 +50,9 @@ EXIT_INTERNAL = 4
 SWEEP_CENSUS_CAP = 100_000
 # sweep refuses a quotient dimension max_degree * rank above this before it
 # solves anything, and oracle refuses one before it builds the quotient:
-# the derivation system has dim^2 rows in dim unknowns, and at dim 20
-# oracle takes 0.10-0.16 s as a process.  Every command refuses a rank
-# above it, since every quotient has dimension at least rank
+# the derivation system has (rank + 1) * dim rows in dim unknowns, and at
+# dim 20 oracle takes 0.09-0.15 s as a process.  Every command refuses a
+# rank above it, since every quotient has dimension at least rank
 SWEEP_MAX_DIM = 20
 # decide refuses a quotient dimension degree * rank above this before it
 # builds the dim^3 structure table: on X^m + 1 over Z/2 it takes 0.12-0.21 s

@@ -211,9 +211,8 @@ def _derivations(a: QuotientRing) -> Submodule:
     D_i = delta(x^i) = M_i u with M_1 = I and M_(i+1) = R(x) M_i + L(x^i),
     and column p = i * rank + s is D_i e_s = R(e_s) M_i u.  The rest of the
     rule on (z, x) is (rank + 1) * dim rows in the dim unknowns u:
-    e_s u = u rho(e_s) for each s, and E u = 0 with
-    E = M_m + sum_(l >= 1) R(a_l) M_l, f = x^m + sum_l x^l a_l, which says
-    delta(f) = 0.
+    e_s u = u rho(e_s) for each s, and E u = 0, which says delta(f) = 0, with
+    E = M_m + sum_(0 < l < m) R(a_l) M_l for f = x^m + sum_(l < m) x^l a_l.
 
     Take z = x^i b, b in B, and write b x = x rho(b) + D(b).  In A,
     x^m = -sum_(l < m) x^l a_l, so delta(x^m c) = (D_m - E u) c for c in B;

@@ -224,7 +224,8 @@ def test_generator_system_equals_the_all_pairs_system():
     rings = dict(sweep_rings())
     ut2, swap = rings["ut2-mod3"], rings["prod22-swap"]
     quotients.append(build_quotient(ut2, next(iter(invariant_survivors(ut2, 5)))))
-    # a twist and a derivation at m >= 4, where the middle blocks and the last are all there
+    # a twist and a derivation together at m >= 4, where the proof's cases
+    # 0 < i < m - 1 and i = m - 1 both occur
     quotients += [build_quotient(swap, f) for m in (4, 5) for f in invariant_survivors(swap, m)]
     for q in quotients:
         assert derivation_module(q).module == all_pairs_derivations(q), q
