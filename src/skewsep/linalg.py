@@ -16,15 +16,23 @@ Two subgroups are equal iff their stored bases are equal, which makes
 sub_equal a plain comparison.  Pivot selection always prefers the
 candidate with the smallest absolute value.
 
-Hermite form is the only elimination in the package, and one routine
-(_hnf_rows) computes it for both rings, with n == 0 standing for ZZ.  At
-each column it runs Euclid on the rows with a nonzero entry there; rows
-that reach zero stay in the working set and are never candidates again.
-Kernels, solution sets (solve) and intersections (sub_intersect) are all
-read off a Hermite kernel computed in the system's own ring, so work over
-ZZ/n stays mod n; the particular solution solve returns is the
-Hermite-reduced representative of its coset.  An inverse (matrix_inverse)
-is one Hermite form of the rows (column j | e_j), with no solve.
+One routine (_hnf_rows) computes Hermite forms for both rings, with
+n == 0 standing for ZZ.  At each column it runs Euclid on the rows with a
+nonzero entry there; rows that reach zero stay in the working set and are
+never candidates again.  Kernels, solution sets (solve) and intersections
+(sub_intersect) are read off a Hermite kernel computed in the system's own
+ring, so work over ZZ/n stays mod n; the particular solution solve returns
+is the Hermite-reduced representative of its coset.  An inverse
+(matrix_inverse) is one Hermite form of the rows (column j | e_j), with no
+solve.
+
+An integer system with at least as many rows as columns skips the Hermite
+form when one elimination mod the prime 2^61 - 1 finds a nonzero maximal
+minor (_full_rank_rows): then it has full column rank over Q, its kernel
+is 0, and solve finds the one rational solution by Bareiss's fraction-free
+elimination (_solve_square) and keeps it only if it is integral and solves
+every row.  When the rank mod p falls short, the Hermite form runs as
+before, so the prime costs time, never an answer.
 """
 
 from __future__ import annotations
@@ -262,8 +270,81 @@ def hnf(gens, coeff: CoeffRing, dim: int | None = None) -> Submodule:
     return Submodule(dim, coeff, tuple(tuple(r) for r in rows))
 
 
+_P = (1 << 61) - 1      # a Mersenne prime
+
+
+def _full_rank_rows(mat: Matrix) -> list[int] | None:
+    """Indices of mat.cols rows of an integer matrix that are independent
+    mod _P, or None when there are none (over ZZ/n, or when the rank mod _P
+    is short).
+
+    A maximal minor that is nonzero mod _P is nonzero, so rows found here
+    prove that mat has full column rank over Q.  Each row is reduced mod _P
+    against the pivot rows kept so far, in order; a kept row is zero at
+    every earlier pivot column, so one pass per row suffices.
+    """
+    p = mat.cols
+    if mat.coeff.modulus or mat.rows < p:
+        return None
+    if not p:
+        return []
+    kept: list[tuple[int, list[int]]] = []
+    chosen = []
+    for idx, row in enumerate(mat.entries):
+        v = [e % _P for e in row]
+        for col, prow in kept:
+            c = v[col]
+            if c:
+                v = [(a - c * b) % _P for a, b in zip(v, prow)]
+        col = next((j for j, e in enumerate(v) if e), None)
+        if col is None:
+            continue
+        inv = pow(v[col], -1, _P)
+        kept.append((col, [e * inv % _P for e in v]))
+        chosen.append(idx)
+        if len(chosen) == p:
+            return chosen
+    return None
+
+
+def _solve_square(rows, b) -> tuple[int, ...] | None:
+    """The integral solution of the nonsingular square system rows * x = b,
+    or None when its unique rational solution is not integral.
+
+    Bareiss's fraction-free elimination keeps every entry of [rows | b] an
+    integer (each is a minor, and the division by the previous pivot is
+    exact); back substitution then gives the Cramer numerators det * x_i.
+    """
+    n = len(rows)
+    a = [list(r) + [e] for r, e in zip(rows, b)]
+    prev = 1
+    for k in range(n):
+        if not a[k][k]:
+            r = next(i for i in range(k + 1, n) if a[i][k])
+            a[k], a[r] = a[r], a[k]
+        ak, piv = a[k], a[k][k]
+        for i in range(k + 1, n):
+            ai = a[i]
+            c = ai[k]
+            ai[k] = 0
+            for j in range(k + 1, n + 1):
+                ai[j] = (ai[j] * piv - c * ak[j]) // prev
+        prev = piv
+    det = prev
+    num = [0] * n
+    for i in reversed(range(n)):
+        ai = a[i]
+        num[i] = (det * ai[n] - sum(ai[j] * num[j] for j in range(i + 1, n))) // ai[i]
+    if any(v % det for v in num):
+        return None
+    return tuple(v // det for v in num)
+
+
 def _kernel_rows(mat: Matrix) -> list[tuple[int, ...]]:
-    """Canonical basis rows of {x : mat * x = 0} via HNF of [mat^T | I]."""
+    """Canonical basis rows of {x : mat * x = 0} via HNF of [mat^T | I];
+    empty without one when _full_rank_rows proves full column rank."""
+    if _full_rank_rows(mat) is not None:
+        return []
     q, p = mat.rows, mat.cols
     aug = []
     for j in range(p):
@@ -275,19 +356,23 @@ def _kernel_rows(mat: Matrix) -> list[tuple[int, ...]]:
 
 
 def kernel(mat: Matrix) -> Submodule:
-    """Solution subgroup of mat * x = 0."""
+    """Solution subgroup of mat * x = 0: zero when _full_rank_rows proves
+    full column rank over ZZ, otherwise read off a Hermite form."""
     return Submodule(mat.cols, mat.coeff, tuple(_kernel_rows(mat)))
 
 
 def solve(mat: Matrix, b):
     """Solve mat * x = b exactly, in the system's own coefficient ring.
 
-    The solutions are read off the Hermite kernel of [-b | mat]: its pairs
-    (t, x) with mat * x = t * b.  The system is solvable iff the first
-    kernel row is (1, x), and the tails of the remaining rows are then the
-    canonical basis of kernel(mat).  So x is the Hermite-reduced
-    representative of x + K: at each pivot column of K its entry lies in
-    [0, pivot).
+    Over ZZ, when _full_rank_rows finds mat.cols rows independent mod
+    2^61 - 1, K = 0 and the only candidate is the rational solution of those
+    rows, found without fractions by _solve_square; it is returned when it
+    is integral and solves every row.  Otherwise the solutions are read off
+    the Hermite kernel of [-b | mat]: its pairs (t, x) with mat * x = t * b.
+    The system is solvable iff the first kernel row is (1, x), and the tails
+    of the remaining rows are then the canonical basis of kernel(mat).  So
+    x is the Hermite-reduced representative of x + K (trivially so when
+    K = 0): at each pivot column of K its entry lies in [0, pivot).
 
     Returns None when no solution exists, otherwise (x, K) where x is one
     solution and K is the Submodule of homogeneous solutions, so the full
@@ -295,6 +380,13 @@ def solve(mat: Matrix, b):
     """
     if len(b) != mat.rows:
         raise ValueError("dimension mismatch")
+    chosen = _full_rank_rows(mat)
+    if chosen is not None:
+        b = ZZ.reduce_vec(b)
+        x = _solve_square([mat.entries[i] for i in chosen], [b[i] for i in chosen])
+        if x is None or mat.apply(x) != b:
+            return None
+        return x, Submodule.zero(mat.cols, mat.coeff)
     aug = Matrix([(-e,) + row for e, row in zip(b, mat.entries)], mat.coeff,
                  cols=mat.cols + 1)
     rows = _kernel_rows(aug)

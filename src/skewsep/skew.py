@@ -264,7 +264,10 @@ def _conditions(ring: SkewPolyRing, m: int, shift: RingElement):
 
     then for each basis element alpha and each j < m the scalar commutation
 
-        sum_{i=j}^{m-1} L(c_ij(alpha)) a_i - R(rho^m(alpha)) a_j = -c_mj(alpha).
+        sum_{i=j}^{m-1} L(c_ij(alpha)) a_i - R(rho^m(alpha)) a_j = -c_mj(alpha),
+
+    whose blocks i > j with c_ij(alpha) = 0 are left out (every i > j when
+    D = 0).
     """
     base = ring.base
     moved = [[e - (p == q) for q, e in enumerate(row)]
@@ -278,10 +281,13 @@ def _conditions(ring: SkewPolyRing, m: int, shift: RingElement):
     for t, alpha in enumerate(base.basis()):
         right = [-v for v in rho_m.apply(alpha).coords]
         for j in range(m):
-            # block i is L(c_ij(alpha)); block j also carries -R(rho^m(alpha))
-            blocks = {i: mul_map_rows(base, ring.commutation_map(i, j).apply(alpha).coords,
-                                      right if i == j else ())
-                      for i in range(j, m)}
+            # block i is L(c_ij(alpha)), left out where c_ij(alpha) = 0; block
+            # j also carries -R(rho^m(alpha)) and is always there
+            blocks = {}
+            for i in range(j, m):
+                c = ring.commutation_map(i, j).apply(alpha)
+                if i == j or not c.is_zero():
+                    blocks[i] = mul_map_rows(base, c.coords, right if i == j else ())
             yield (InvariantFailure("scalar-commutation", j, t), blocks,
                    (-ring.commutation_map(m, j).apply(alpha)).coords)
 

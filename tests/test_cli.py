@@ -75,6 +75,13 @@ def test_decide_json_golden(capsys):
     assert got == want
 
 
+def test_decide_json_golden_with_multiword_entries(capsys):
+    # a triangular-family problem over ZZ from bench/gen.py (zz_decide seed
+    # 23, ut2-d3-b120-0) whose entries reach 2^121: byte for byte
+    assert main(["decide", str(DATA / "zz_wide.json"), "--json"]) == 0
+    assert capsys.readouterr().out == (DATA / "zz_wide_decide.json").read_text()
+
+
 def test_decide_json_round_trips_against_library(capsys):
     assert main(["decide", TRIANGULAR, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

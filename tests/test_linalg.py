@@ -5,8 +5,9 @@ from itertools import product
 
 import pytest
 
+from skewsep import linalg
 from skewsep.linalg import (
-    ZZ, CoeffRing, Matrix,
+    ZZ, CoeffRing, Matrix, Submodule,
     hnf, kernel, matrix_inverse, solve,
     sub_contains, sub_equal, sub_intersect, sub_member,
     _hnf_rows,
@@ -174,6 +175,56 @@ def test_solve_random_soundness_and_completeness():
             res2 = solve(m, b2)
             brute = any(m.apply(v) == b2 for v in product(range(modulus), repeat=p))
             assert (res2 is not None) == brute
+
+
+# ------------------------------------------- full column rank over ZZ
+
+P61 = 2 ** 61 - 1
+
+
+def _refuse_hermite(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Hermite form of a full-rank integer system")
+    monkeypatch.setattr(linalg, "_hnf_rows", refuse)
+
+
+def test_full_rank_integer_systems_skip_the_hermite_form(monkeypatch):
+    rng = random.Random(61)
+    wide = [[rng.randint(-2 ** 361, 2 ** 361) for _ in range(3)] for _ in range(5)]
+    x0 = (7, -2 ** 200, 0)
+    _refuse_hermite(monkeypatch)
+    for ents in (wide[:3], wide):
+        m = Matrix(ents, ZZ)
+        assert kernel(m).is_zero()
+        assert solve(m, m.apply(x0)) == (x0, Submodule.zero(3, ZZ))
+
+
+def test_full_rank_integer_systems_without_an_integral_solution(monkeypatch):
+    _refuse_hermite(monkeypatch)
+    # the unique solution x = 1/2 is not integral
+    assert solve(Matrix([[2]], ZZ), (1,)) is None
+    assert solve(Matrix([[2, 1], [4, 3]], ZZ), (0, 1)) is None     # x = (-1/2, 1)
+    # tall and of full rank, but the last row contradicts the others
+    assert solve(Matrix([[1], [1]], ZZ), (1, 2)) is None
+    assert solve(Matrix([[1, 0], [0, 1], [1, 1]], ZZ), (1, 1, 3)) is None
+
+
+def test_singular_mod_p_falls_back_to_the_hermite_form(monkeypatch):
+    # of full rank over Q, but every maximal minor is a multiple of 2^61 - 1
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _hnf_rows(*args)
+
+    monkeypatch.setattr(linalg, "_hnf_rows", counting)
+    for ents in ([[P61]], [[P61], [2 * P61]]):
+        m = Matrix(ents, ZZ)
+        assert linalg._full_rank_rows(m) is None
+        assert kernel(m).is_zero()
+        assert solve(m, m.apply((3,))) == ((3,), Submodule.zero(1, ZZ))
+        assert solve(m, (1,) * m.rows) is None
+    assert len(calls) == 6           # one kernel and two solves each
 
 
 # ------------------------------------------------------------------- kernel

@@ -14,7 +14,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  # noqa: E402
 
 from skewsep.linalg import (  # noqa: E402
-    CoeffRing, Matrix, hnf, kernel, matrix_inverse, solve,
+    CoeffRing, Matrix, _full_rank_rows, hnf, kernel, matrix_inverse, solve,
 )
 
 MODULI = [0, 0, 0, 2, 3, 4, 6, 8, 9, 12, 2 ** 64, 2 ** 61 - 1]
@@ -49,6 +49,13 @@ def _shape(data):
     if data.draw(st.booleans()):
         return data.draw(st.integers(p + 1, 3 * p)), p
     return data.draw(st.integers(1, 5)), p
+
+
+def _route_event(m):
+    """Record which route an integer system takes: full column rank proved
+    mod 2^61 - 1 (no Hermite form), or the Hermite form."""
+    if not m.coeff.modulus:
+        event(f"ZZ route: {'full rank' if _full_rank_rows(m) is not None else 'hermite'}")
 
 
 def _sym(rows, ncols):
@@ -113,6 +120,7 @@ def test_kernel_is_the_whole_saturated_kernel(data):
     q, p = _shape(data)
     event(f"tall: {q > p}")
     m = Matrix(_matrix_rows(data, q, p), CoeffRing(n), cols=p)
+    _route_event(m)
     k = kernel(m)
     _assert_canonical(k.basis, n)
     mk = _sym(m.entries, p) * _sym(k.basis, p).T
@@ -143,6 +151,7 @@ def test_solve_decides_solvability_like_the_lifted_system(data):
         b = data.draw(st.lists(data.draw(st.sampled_from([small, wide])),
                                min_size=q, max_size=q))
     m = Matrix(ents, coeff, cols=p)
+    _route_event(m)
     res = solve(m, b)
     assert (res is not None) == _solvable(m.entries, p, coeff.reduce_vec(b), n)
     if res is None:

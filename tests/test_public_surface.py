@@ -1,5 +1,5 @@
-"""The public surface: the README example, the package exports, and no
-import that a module does not use."""
+"""The public surface: the README example, the package exports, no import
+that a module does not use, and no new import at package import time."""
 
 import ast
 import contextlib
@@ -57,3 +57,34 @@ def test_no_unused_imports():
     modules += sorted((ROOT / "tests").glob("*.py"))
     assert modules
     assert [hit for p in modules for hit in _unused_imports(p)] == []
+
+
+# Every import outside a function body runs at `import skewsep`, and that
+# import is almost all of a cold run's set-up time (the `setup_s` of the
+# benchmark).  A new one (fractions, decimal, ...) has to change this set.
+MODULE_LEVEL_STDLIB = {"argparse", "contextlib", "dataclasses", "itertools", "json",
+                       "math", "sys"}
+
+
+def _module_level_imports(path: Path) -> set[str]:
+    """Top-level names of the absolute imports that run when the module
+    is imported: every import statement outside a function body."""
+    names = set()
+    stack = list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level \
+                and node.module != "__future__":
+            names.add(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_module_level_imports_are_pinned():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert set().union(*map(_module_level_imports, modules)) == MODULE_LEVEL_STDLIB

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import skewsep.linalg
 import skewsep.quotient
 import skewsep.rings
 import skewsep.separability
@@ -193,6 +194,28 @@ def test_derivation_type_check_adds_no_hermite_form(monkeypatch):
     monkeypatch.setattr(skewsep.separability, "hnf", refuse)
     v = is_weakly_separable(triangular_quotient())
     assert v.weakly_separable and not v.separable
+
+
+def test_integer_criterion_systems_skip_the_hermite_form(monkeypatch):
+    # over ZZ the trace matrix and the witness system of these quotients have
+    # full column rank mod 2^61 - 1, so neither needs a Hermite form
+    def refuse(*args, **kwargs):
+        raise AssertionError("Hermite form of a full-rank integer system")
+
+    r = golden_ring()
+    # g(X + e11) with g = Y^2 - Y, whose discriminant is 1
+    split = build_quotient(r, r.poly([r.base.element(c)
+                                      for c in ((0, 0, 0), (1, 0, -1), (1, 0, 1))]))
+    golden = triangular_quotient()
+    for q in (golden, split):
+        q.twisted_centralizer(1 - q.m)
+        q.trace_matrix()
+    split.trace_kernel()            # not of full rank: the Hermite path
+    monkeypatch.setattr(skewsep.linalg, "_hnf_rows", refuse)
+    assert golden.trace_kernel().is_zero()
+    assert is_separable(golden) == (False, None)
+    sep, w = is_separable(split)
+    assert sep and split.trace(w) == split.one()
 
 
 # ------------------------------------------------------- derivation module
