@@ -283,10 +283,10 @@ def _full_rank_rows(mat: Matrix) -> list[int] | None:
     against the pivot rows kept so far, in order; a kept row is zero at
     every earlier pivot column, so one pass per row suffices.
     """
-    p = mat.cols
-    if mat.coeff.modulus or mat.rows < p:
+    ncols = mat.cols
+    if mat.coeff.modulus or mat.rows < ncols:
         return None
-    if not p:
+    if not ncols:
         return []
     kept: list[tuple[int, list[int]]] = []
     chosen = []
@@ -302,7 +302,7 @@ def _full_rank_rows(mat: Matrix) -> list[int] | None:
         inv = pow(v[col], -1, _P)
         kept.append((col, [e * inv % _P for e in v]))
         chosen.append(idx)
-        if len(chosen) == p:
+        if len(chosen) == ncols:
             return chosen
     return None
 
@@ -341,8 +341,8 @@ def _solve_square(rows, b) -> tuple[int, ...] | None:
 
 
 def _kernel_rows(mat: Matrix) -> list[tuple[int, ...]]:
-    """Canonical basis rows of {x : mat * x = 0} via HNF of [mat^T | I];
-    empty without one when _full_rank_rows proves full column rank."""
+    """Canonical basis rows of {x : mat * x = 0} via HNF of [mat^T | I], or
+    none, with no HNF, when _full_rank_rows proves full column rank."""
     if _full_rank_rows(mat) is not None:
         return []
     q, p = mat.rows, mat.cols

@@ -199,6 +199,15 @@ def test_full_rank_integer_systems_skip_the_hermite_form(monkeypatch):
         assert solve(m, m.apply(x0)) == (x0, Submodule.zero(3, ZZ))
 
 
+def test_fraction_free_elimination_of_square_systems():
+    # a zero leading pivot takes a row swap; 1/2 is no integer
+    assert linalg._solve_square([[0, 1], [1, 0]], [2, 3]) == (3, 2)
+    assert linalg._solve_square([[0, 2, 1], [3, 0, 0], [1, 1, 0]], [5, 6, 3]) == (2, 1, 3)
+    assert linalg._solve_square([[2]], [1]) is None
+    assert linalg._solve_square([[2, 1], [4, 3]], [0, 1]) is None
+    assert linalg._solve_square([], []) == ()
+
+
 def test_full_rank_integer_systems_without_an_integral_solution(monkeypatch):
     _refuse_hermite(monkeypatch)
     # the unique solution x = 1/2 is not integral

@@ -197,8 +197,8 @@ def test_derivation_type_check_adds_no_hermite_form(monkeypatch):
 
 
 def test_integer_criterion_systems_skip_the_hermite_form(monkeypatch):
-    # over ZZ the trace matrix and the witness system of these quotients have
-    # full column rank mod 2^61 - 1, so neither needs a Hermite form
+    # over ZZ the golden quotient's trace matrix and the witness systems of
+    # both quotients have full column rank mod 2^61 - 1: no Hermite form
     def refuse(*args, **kwargs):
         raise AssertionError("Hermite form of a full-rank integer system")
 
