@@ -12,10 +12,12 @@ element is stored as its flat integer vector in that basis.
 A is held as a structure-constant ring of rank dim (QuotientRing.algebra):
 its dim x dim x dim table flat(b_p * b_q), built once, on the first
 product, by reading B's table: no polynomial division and no product in B
-or A.  Every product, multiplication matrix, centralizer and the center
-are then the generic structure-constant operations of the rings module.  All the structural subgroups (twisted
-centralizers, the center, kernels and images of the trace map and the
-x-commutator) are computed exactly in that flat picture.
+or A.  Every product, multiplication matrix and centralizer is then a
+generic structure-constant operation of the rings module, and the center
+is the base centralizer cut to the kernel of the x-commutator.  All the
+structural subgroups (twisted centralizers, the center, kernels and
+images of the trace map and the x-commutator) are computed exactly in
+that flat picture.
 
 The trace map is tr(z) = sum_j t_j * z * x^j with t_j the Horner tails
 of f; its matrix is read off the table as sum_j R(x^j) L(t_j), and weak
@@ -226,15 +228,21 @@ class QuotientRing:
         return self.twisted_centralizer(0)
 
     def center(self) -> Submodule:
-        """Elements commuting with the whole quotient.
+        """Elements commuting with the whole quotient: the base centralizer
+        V cut to the kernel of the x-commutator, as B and x generate A.
 
-        Computed from scratch as the centralizer of all of A, not as
-        V intersect Ker(x-commutator); that identity is a theorem the
-        tests check, not something to bake in.
+        One kernel, of the dim x rank(V) matrix whose columns are the
+        x-commutators of V's basis rows, gives the combinations of those
+        rows that commute with x (the pattern of linalg.sub_intersect).
+        separability.exactness_report checks that every row is central.
         """
         if self._center is None:
-            self._center = commutant(self.algebra,
-                                     [(b.vec, b.vec) for b in self.basis_elements()])
+            v, ad = self.base_centralizer(), self._x_commutator_matrix()
+            images = Matrix.from_columns([ad.apply(row) for row in v.basis],
+                                         self.coeff, rows=self.dim)
+            span = Matrix.from_columns(v.basis, self.coeff, rows=self.dim)
+            self._center = hnf([span.apply(lam) for lam in kernel(images).basis],
+                               self.coeff, dim=self.dim)
         return self._center
 
     def split_subgroups(self) -> tuple[Submodule, Submodule]:

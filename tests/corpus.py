@@ -5,7 +5,7 @@ from itertools import islice
 
 from skewsep.linalg import CoeffRing, Matrix, ZZ, kernel
 from skewsep.quotient import build_quotient
-from skewsep.rings import BaseRing, RingMap
+from skewsep.rings import BaseRing, RingMap, commutant
 from skewsep.skew import (
     InvariantFailure, SkewPolyRing, invariant_polynomials, iter_invariant_polynomials,
 )
@@ -181,6 +181,13 @@ def reference_trace_matrix(q):
     reference for QuotientRing.trace_matrix, which reads it off the table."""
     cols = [q.trace(z).flat() for z in q.basis_elements()]
     return Matrix.from_columns(cols, q.coeff, rows=q.dim)
+
+
+def reference_center(q):
+    """The center of the quotient q as the commutant of all dim basis
+    elements, a dim^2 x dim system: the reference for QuotientRing.center,
+    which cuts the base centralizer to the kernel of the x-commutator."""
+    return commutant(q.algebra, [(b.vec, b.vec) for b in q.basis_elements()])
 
 
 def product_mul_matrices(ring, a, b):

@@ -22,7 +22,8 @@ from skewsep.skew import (
 )
 from corpus import (
     classical_skew_ring, commute_scalar, golden_ring, invariant_survivors, lemma_corpus,
-    polygcd_is_one, product_mul_matrices, reference_product, sweep_rings, wide_c2_quotient,
+    polygcd_is_one, product_mul_matrices, reference_center, reference_product, sweep_rings,
+    wide_c2_quotient,
 )
 
 
@@ -183,6 +184,9 @@ def test_criterion_4_lemma_invariant_suite():
         ad_x = right_x.sub(left_x)
         check(sub_equal(sub_intersect(v_sub, kernel(ad_x)), q.center()), tag,
               "Ker(I_x|V) != C(A)")
+        # and that kernel is the commutant of all of A, not only of B and x
+        check(sub_equal(q.center(), reference_center(q)), tag,
+              "C(A) is not the commutant of every basis element")
         # coefficient location: central inside the joint fixed subring
         check(coeffs_central_in_fixed_subring(f), tag,
               "coefficients not central in the fixed subring")

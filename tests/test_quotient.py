@@ -318,17 +318,18 @@ def test_twisted_centralizers_share_one_kernel(monkeypatch):
     q = triangular_quotient()
     real = skewsep.linalg.kernel
     calls = []
-    for mod in (skewsep.rings, skewsep.linalg):
+    for mod in (skewsep.rings, skewsep.linalg, skewsep.quotient):
         monkeypatch.setattr(mod, "kernel", lambda mat: calls.append(mat) or real(mat))
     # identity twist: exponents 1, 0 and 1 - m name the same map
     first = q.twisted_centralizer(1)
     assert q.base_centralizer() is first
     assert q.twisted_centralizer(1 - q.m) is first
     assert len(calls) == 1
-    # the center is one kernel too, with nothing intersected afterwards
+    # the center is one kernel too, dim rows in rank(V) unknowns, with
+    # nothing intersected afterwards
     calls.clear()
     q.center()
-    assert len(calls) == 1
+    assert [(mat.rows, mat.cols) for mat in calls] == [(q.dim, first.rank)]
 
 
 def test_twisted_centralizer_swap_alternates():

@@ -18,8 +18,8 @@ from skewsep.separability import (
 )
 from corpus import (
     all_pairs_derivations, classical_quotient, golden_ring, invariant_survivors,
-    lemma_corpus, polygcd_is_one, swap_ring, sweep_rings, triangular_quotient,
-    wide_c2_quotient,
+    lemma_corpus, polygcd_is_one, reference_center, swap_ring, sweep_rings,
+    triangular_quotient, wide_c2_quotient,
 )
 
 
@@ -142,6 +142,42 @@ def test_exactness_report_fields():
         rep = exactness_report(q)
         assert rep.commutator_kernel_is_center
         assert rep.exact_at_twist1 == is_weakly_separable(q).weakly_separable
+
+
+def _center_quotients():
+    return sample_quotients() + [build_quotient(ring, f) for _, ring, f in lemma_corpus()]
+
+
+def test_center_equals_the_commutant_of_every_basis_element():
+    for q in _center_quotients():
+        assert sub_equal(q.center(), reference_center(q)), q
+
+
+def test_a_center_that_is_not_central_is_caught(monkeypatch):
+    # a center that skipped the x-commutator: the flag reads False exactly
+    # where V is larger than the center, and the verdict refuses to stand
+    monkeypatch.setattr(QuotientRing, "center", QuotientRing.base_centralizer)
+    caught = 0
+    for q in _center_quotients():
+        central = sub_equal(q.base_centralizer(), reference_center(q))
+        assert exactness_report(q).commutator_kernel_is_center == central, q
+        if not central:
+            caught += 1
+            with pytest.raises(InternalInvariantError, match="not the center"):
+                is_weakly_separable(q)
+    assert caught
+
+
+def test_exactness_report_takes_no_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel called")
+
+    # once the split subgroups and the center are cached
+    quotients = sample_quotients()
+    want = [exactness_report(q) for q in quotients]
+    for module in (skewsep.linalg, skewsep.rings, skewsep.quotient, skewsep.separability):
+        monkeypatch.setattr(module, "kernel", refuse)
+    assert [exactness_report(q) for q in quotients] == want
 
 
 def test_commutator_image_always_inside_trace_kernel():
@@ -278,9 +314,9 @@ def test_derivation_oracle_shares_no_code_with_the_criterion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called into the criterion route")
 
-    for name in ("twisted_centralizer", "trace", "trace_matrix", "trace_kernel"):
+    for name in ("twisted_centralizer", "center", "trace", "trace_matrix", "trace_kernel"):
         monkeypatch.setattr(QuotientRing, name, refuse)
-    for module in (skewsep.rings, skewsep.quotient, skewsep.separability):
+    for module in (skewsep.rings, skewsep.quotient):
         monkeypatch.setattr(module, "commutant", refuse)
     for q in sample_quotients():
         assert skewsep.separability._derivations(q) == all_pairs_derivations(q), q
