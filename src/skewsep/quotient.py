@@ -144,10 +144,6 @@ class QuotientRing:
     def x_elem(self) -> "AElement":
         return self._x
 
-    def basis_elements(self) -> list["AElement"]:
-        return [AElement(self, tuple(1 if q == p else 0 for q in range(self.dim)))
-                for p in range(self.dim)]
-
     def reduce_poly(self, g: SkewPoly) -> "AElement":
         if g.ring != self.ring:
             raise ValueError("polynomial from a different ring")

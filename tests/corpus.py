@@ -168,6 +168,11 @@ def wide_c2_quotient():
     return build_quotient(ring, ring.poly(coeffs + [(1, 0)]))
 
 
+def basis_elements(q):
+    """The flat basis b_0, .., b_(dim-1) of the quotient q as elements."""
+    return [q.from_flat([int(t == p) for t in range(q.dim)]) for p in range(q.dim)]
+
+
 def reference_product(q, a, b):
     """a * b in the quotient q, computed independently of its
     multiplication table: multiply the lifts as skew polynomials and
@@ -179,7 +184,7 @@ def reference_trace_matrix(q):
     """The matrix of the trace map of the quotient q, built column by
     column as tr(b_p) = sum_j t_j b_p x^j from products in A: the
     reference for QuotientRing.trace_matrix, which reads it off the table."""
-    cols = [q.trace(z).flat() for z in q.basis_elements()]
+    cols = [q.trace(z).flat() for z in basis_elements(q)]
     return Matrix.from_columns(cols, q.coeff, rows=q.dim)
 
 
@@ -187,7 +192,7 @@ def reference_center(q):
     """The center of the quotient q as the commutant of all dim basis
     elements, a dim^2 x dim system: the reference for QuotientRing.center,
     which cuts the base centralizer to the kernel of the x-commutator."""
-    return commutant(q.algebra, [(b.vec, b.vec) for b in q.basis_elements()])
+    return commutant(q.algebra, [(b.vec, b.vec) for b in basis_elements(q)])
 
 
 def product_mul_matrices(ring, a, b):
